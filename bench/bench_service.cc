@@ -9,14 +9,13 @@
 //   identity   serves one of each request type and asserts the served
 //              response is bit-identical to a direct library call
 //              against the snapshot named in the response — framing,
-//              batching, and caching must be unobservable in results;
+//              scheduling, and caching must be unobservable in results;
 //   load       N closed-loop clients (own connection, own thread) each
 //              issue DEPMATCH_BENCH_REPS stored-entry searches
 //              back-to-back, at N = 1 / 4 / 16; reports sustained QPS
-//              and p50/p99 latency per N, plus the dispatcher's
-//              micro-batch counters, and post-hoc re-verifies every
+//              and p50/p99 latency per N, and post-hoc re-verifies every
 //              single response bit-for-bit;
-//   overload   a paused dispatcher and max_queue senders + more:
+//   overload   paused workers and max_queue senders + more:
 //              exactly max_queue are admitted, the rest must come back
 //              kOverloaded immediately (bounded queueing — shedding
 //              latency is reported, not hidden in the tail), and
@@ -155,8 +154,6 @@ struct LoadPhase {
   double wall_ms = 0.0;
   double qps = 0.0;
   benchutil::LatencySummary latency;
-  uint64_t batches = 0;
-  uint64_t batched_requests = 0;
   bool identical = false;
 };
 
@@ -287,8 +284,6 @@ bool RunIdentityGate(ServerHandle& server) {
 LoadPhase RunLoadPhase(ServerHandle& server, size_t num_clients,
                        size_t requests_per_client, size_t query_entries,
                        uint64_t k) {
-  auto stats_before = server.match_service().Stats();
-
   struct ClientRun {
     std::vector<double> latencies_ms;
     std::vector<Response> responses;
@@ -354,11 +349,6 @@ LoadPhase RunLoadPhase(ServerHandle& server, size_t num_clients,
                   : 0.0;
   phase.latency = benchutil::SummarizeLatencies(std::move(all_latencies));
 
-  auto stats_after = server.match_service().Stats();
-  phase.batches = stats_after.batches_total - stats_before.batches_total;
-  phase.batched_requests = stats_after.batched_requests_total -
-                           stats_before.batched_requests_total;
-
   // Post-hoc bit-identity: recompute each distinct query once per
   // snapshot version it was served from, directly against that
   // snapshot, and compare every response.
@@ -407,7 +397,7 @@ OverloadReport RunOverloadPhase(size_t corpus_entries, size_t max_queue,
   report.senders = senders;
 
   ServerHandle server = StartServer(corpus_entries, options, "overload");
-  // Freeze the dispatcher so admission is the only moving part: the
+  // Freeze the workers so admission is the only moving part: the
   // queue cannot drain, so of `senders` concurrent requests exactly
   // max_queue are admitted and the rest must shed immediately.
   server.match_service().PauseForTest();
@@ -446,7 +436,7 @@ OverloadReport RunOverloadPhase(size_t corpus_entries, size_t max_queue,
   }
 
   // Wait until every sender either shed (immediately) or is parked in
-  // the queue, then release the dispatcher.
+  // the queue, then release the workers.
   size_t expect_shed = senders > max_queue ? senders - max_queue : 0;
   auto wait_start = std::chrono::steady_clock::now();
   for (;;) {
@@ -472,7 +462,7 @@ OverloadReport RunOverloadPhase(size_t corpus_entries, size_t max_queue,
     }
   }
 
-  // Deadline shedding: park requests behind a paused dispatcher with a
+  // Deadline shedding: park requests behind paused workers with a
   // deadline shorter than the pause; they must come back
   // kDeadlineExceeded, not late-served.
   server.match_service().PauseForTest();
@@ -495,7 +485,7 @@ OverloadReport RunOverloadPhase(size_t corpus_entries, size_t max_queue,
       }
     });
   }
-  // Out-wait the deadline before releasing the dispatcher.
+  // Out-wait the deadline before releasing the workers.
   std::this_thread::sleep_for(std::chrono::milliseconds(120));
   server.match_service().ResumeForTest();
   // depmatch-lint: allow(raw-thread)
@@ -535,7 +525,6 @@ int Run(int argc, char** argv) {
 
   ServiceOptions options;
   options.max_queue = 64;
-  options.max_batch = 8;
   ServerHandle server = StartServer(corpus_entries, options, "load");
 
   std::fprintf(stderr, "bench_service: identity gate ...\n");
@@ -553,11 +542,9 @@ int Run(int argc, char** argv) {
     const LoadPhase& phase = phases.back();
     std::fprintf(stderr,
                  "bench_service:   %zu req in %.1f ms = %.0f QPS, p50 "
-                 "%.2f ms p99 %.2f ms, batches %llu/%llu, identical %s\n",
+                 "%.2f ms p99 %.2f ms, identical %s\n",
                  phase.requests, phase.wall_ms, phase.qps,
                  phase.latency.p50_ms, phase.latency.p99_ms,
-                 static_cast<unsigned long long>(phase.batches),
-                 static_cast<unsigned long long>(phase.batched_requests),
                  phase.identical ? "true" : "FALSE");
   }
   server.server->Stop();
@@ -595,8 +582,7 @@ int Run(int argc, char** argv) {
     std::fprintf(out, "    \"corpus_entries\": %zu,\n", corpus_entries);
     std::fprintf(out, "    \"requests_per_client\": %zu,\n", reps);
     std::fprintf(out, "    \"search_k\": 5,\n");
-    std::fprintf(out, "    \"max_queue\": %zu,\n", options.max_queue);
-    std::fprintf(out, "    \"max_batch\": %zu\n", options.max_batch);
+    std::fprintf(out, "    \"max_queue\": %zu\n", options.max_queue);
     std::fprintf(out, "  },\n");
     // Headline: the 1-client p99 (tools/bench_gate.sh greps the first
     // serve_p99_ms in file order).
@@ -642,10 +628,6 @@ int Run(int argc, char** argv) {
       std::fprintf(out, "      \"p50_ms\": %.4f,\n", phase.latency.p50_ms);
       std::fprintf(out, "      \"p99_ms\": %.4f,\n", phase.latency.p99_ms);
       std::fprintf(out, "      \"max_ms\": %.4f,\n", phase.latency.max_ms);
-      std::fprintf(out, "      \"batches\": %llu,\n",
-                   static_cast<unsigned long long>(phase.batches));
-      std::fprintf(out, "      \"batched_requests\": %llu,\n",
-                   static_cast<unsigned long long>(phase.batched_requests));
       std::fprintf(out, "      \"identical\": %s\n",
                    phase.identical ? "true" : "false");
       std::fprintf(out, "    }%s\n", i + 1 < phases.size() ? "," : "");

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <queue>
@@ -119,15 +120,19 @@ bool EntryCompatible(Cardinality cardinality, size_t query_width,
 }  // namespace
 
 Status GraphCatalog::Insert(std::string name, DependencyGraph graph) {
-  if (index_by_name_.count(name) > 0) {
+  if (index_by_name_ != nullptr && index_by_name_->count(name) > 0) {
     return AlreadyExistsError(
         StrFormat("catalog already holds a graph named '%s'", name.c_str()));
   }
+  if (index_by_name_ == nullptr) {
+    index_by_name_ = std::make_shared<NameMap>();
+  } else if (index_by_name_.use_count() > 1) {
+    index_by_name_ = std::make_shared<NameMap>(*index_by_name_);
+  }
+  index_by_name_->emplace(name, entries_.size());
   GraphSignature signature(graph);
-  index_by_name_.emplace(name, names_.size());
-  names_.push_back(std::move(name));
-  graphs_.push_back(std::move(graph));
-  signatures_.push_back(std::move(signature));
+  entries_.push_back(std::make_shared<const Entry>(
+      Entry{std::move(name), std::move(graph), std::move(signature)}));
   // The tiered index covers a frozen entry set; a new entry invalidates
   // it rather than risking a stale (non-dominating) envelope.
   index_.reset();
@@ -139,10 +144,12 @@ Status GraphCatalog::UpdateEntry(std::string_view name, DependencyGraph graph,
   Result<size_t> entry = Find(name);
   if (!entry.ok()) return entry.status();
   GraphSignature signature(graph);
-  graphs_[*entry] = std::move(graph);
-  signatures_[*entry] = std::move(signature);
+  // A fresh entry replaces the slot; copies sharing the old one keep it.
+  entries_[*entry] = std::make_shared<const Entry>(
+      Entry{entries_[*entry]->name, std::move(graph), std::move(signature)});
   if (index_.has_value() &&
-      !index_->UpdateEntry(*entry, signatures_[*entry], index_options)) {
+      !index_->UpdateEntry(*entry, entries_[*entry]->signature,
+                           index_options)) {
     // The entry is not covered by the index (stale or partial build);
     // drop the index rather than risk a non-dominating envelope.
     index_.reset();
@@ -151,19 +158,19 @@ Status GraphCatalog::UpdateEntry(std::string_view name, DependencyGraph graph,
 }
 
 Result<size_t> GraphCatalog::Find(std::string_view name) const {
-  auto it = index_by_name_.find(std::string(name));
-  if (it == index_by_name_.end()) {
-    return NotFoundError(
-        StrFormat("no catalog entry named '%s'", std::string(name).c_str()));
+  if (index_by_name_ != nullptr) {
+    auto it = index_by_name_->find(std::string(name));
+    if (it != index_by_name_->end()) return it->second;
   }
-  return it->second;
+  return NotFoundError(
+      StrFormat("no catalog entry named '%s'", std::string(name).c_str()));
 }
 
 void GraphCatalog::BuildIndex(const CatalogIndexOptions& options) {
   std::vector<const GraphSignature*> signatures;
-  signatures.reserve(signatures_.size());
-  for (const GraphSignature& signature : signatures_) {
-    signatures.push_back(&signature);
+  signatures.reserve(entries_.size());
+  for (const std::shared_ptr<const Entry>& entry : entries_) {
+    signatures.push_back(&entry->signature);
   }
   index_ = CatalogTieredIndex::Build(signatures, options);
 }
@@ -172,11 +179,11 @@ Status GraphCatalog::Save(const std::string& path) const {
   std::string out;
   out.append(kCatalogMagic, sizeof(kCatalogMagic));
   graphio::AppendU32(&out, kCatalogFormatVersion);
-  graphio::AppendU64(&out, static_cast<uint64_t>(names_.size()));
-  for (size_t i = 0; i < names_.size(); ++i) {
-    graphio::AppendU64(&out, static_cast<uint64_t>(names_[i].size()));
-    out.append(names_[i]);
-    std::string blob = SerializeGraphBinary(graphs_[i]);
+  graphio::AppendU64(&out, static_cast<uint64_t>(entries_.size()));
+  for (const std::shared_ptr<const Entry>& entry : entries_) {
+    graphio::AppendU64(&out, static_cast<uint64_t>(entry->name.size()));
+    out.append(entry->name);
+    std::string blob = SerializeGraphBinary(entry->graph);
     graphio::AppendU64(&out, static_cast<uint64_t>(blob.size()));
     out.append(blob);
   }

@@ -56,6 +56,7 @@
 #define DEPMATCH_CORE_GRAPH_CATALOG_H_
 
 #include <cstddef>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -91,11 +92,13 @@ class GraphCatalog {
   Status UpdateEntry(std::string_view name, DependencyGraph graph,
                      const CatalogIndexOptions& index_options = {});
 
-  size_t size() const { return names_.size(); }
-  bool empty() const { return names_.empty(); }
-  const std::string& name(size_t i) const { return names_[i]; }
-  const DependencyGraph& graph(size_t i) const { return graphs_[i]; }
-  const GraphSignature& signature(size_t i) const { return signatures_[i]; }
+  size_t size() const { return entries_.size(); }
+  bool empty() const { return entries_.empty(); }
+  const std::string& name(size_t i) const { return entries_[i]->name; }
+  const DependencyGraph& graph(size_t i) const { return entries_[i]->graph; }
+  const GraphSignature& signature(size_t i) const {
+    return entries_[i]->signature;
+  }
 
   // Entry index for `name`, or NotFound.
   Result<size_t> Find(std::string_view name) const;
@@ -119,10 +122,22 @@ class GraphCatalog {
   static Result<GraphCatalog> Load(const std::string& path);
 
  private:
-  std::vector<std::string> names_;
-  std::vector<DependencyGraph> graphs_;
-  std::vector<GraphSignature> signatures_;
-  std::unordered_map<std::string, size_t> index_by_name_;
+  // One entry, immutable once built. Copies of a catalog share their
+  // unchanged entries, so copying costs one pointer per entry (plus the
+  // tiered index) rather than a deep copy of every graph: copy-on-write
+  // publication (service/snapshot.h) copies, then Insert/UpdateEntry
+  // replace only what changed.
+  struct Entry {
+    std::string name;
+    DependencyGraph graph;
+    GraphSignature signature;
+  };
+  using NameMap = std::unordered_map<std::string, size_t>;
+
+  std::vector<std::shared_ptr<const Entry>> entries_;
+  // Name -> entry index, shared between copies; Insert clones it first
+  // when another catalog still refers to it.
+  std::shared_ptr<NameMap> index_by_name_;
   std::optional<CatalogTieredIndex> index_;
 };
 

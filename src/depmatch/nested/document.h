@@ -13,6 +13,7 @@
 #ifndef DEPMATCH_NESTED_DOCUMENT_H_
 #define DEPMATCH_NESTED_DOCUMENT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -36,6 +37,12 @@ enum class NodeKind {
 };
 
 std::string_view NodeKindToString(NodeKind kind);
+
+// Deepest nesting of arrays/objects (JSON) or elements (XML) that
+// ParseJson and ParseXml accept; deeper input is InvalidArgument. Both
+// parsers recurse once per level, so the cap bounds their stack use on
+// hostile input, far above the depth of any real document.
+inline constexpr size_t kMaxNestingDepth = 512;
 
 class NestedValue {
  public:

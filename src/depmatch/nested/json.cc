@@ -17,7 +17,7 @@ class Parser {
 
   Result<NestedValue> ParseDocument() {
     SkipWhitespace();
-    Result<NestedValue> value = ParseValue();
+    Result<NestedValue> value = ParseValue(/*depth=*/1);
     if (!value.ok()) return value;
     SkipWhitespace();
     if (pos_ != text_.size()) {
@@ -55,11 +55,17 @@ class Parser {
     return true;
   }
 
-  Result<NestedValue> ParseValue() {
+  // `depth` counts the containers open around the value, itself
+  // included when it is one.
+  Result<NestedValue> ParseValue(size_t depth) {
     if (AtEnd()) return Error("unexpected end of input");
     char c = Peek();
-    if (c == '{') return ParseObject();
-    if (c == '[') return ParseArray();
+    if ((c == '{' || c == '[') && depth > kMaxNestingDepth) {
+      return Error(
+          StrFormat("nesting deeper than %zu levels", kMaxNestingDepth));
+    }
+    if (c == '{') return ParseObject(depth);
+    if (c == '[') return ParseArray(depth);
     if (c == '"') {
       Result<std::string> text = ParseString();
       if (!text.ok()) return text.status();
@@ -74,7 +80,7 @@ class Parser {
     return Error(StrFormat("unexpected character '%c'", c));
   }
 
-  Result<NestedValue> ParseObject() {
+  Result<NestedValue> ParseObject(size_t depth) {
     ++pos_;  // '{'
     NestedValue object = NestedValue::Object();
     SkipWhitespace();
@@ -87,7 +93,7 @@ class Parser {
       SkipWhitespace();
       if (!Consume(':')) return Error("expected ':' after member name");
       SkipWhitespace();
-      Result<NestedValue> value = ParseValue();
+      Result<NestedValue> value = ParseValue(depth + 1);
       if (!value.ok()) return value;
       if (object.Find(name.value()) != nullptr) {
         return Error(
@@ -100,14 +106,14 @@ class Parser {
     }
   }
 
-  Result<NestedValue> ParseArray() {
+  Result<NestedValue> ParseArray(size_t depth) {
     ++pos_;  // '['
     NestedValue array = NestedValue::Array();
     SkipWhitespace();
     if (Consume(']')) return array;
     while (true) {
       SkipWhitespace();
-      Result<NestedValue> element = ParseValue();
+      Result<NestedValue> element = ParseValue(depth + 1);
       if (!element.ok()) return element;
       array.Append(std::move(element).value());
       SkipWhitespace();

@@ -41,7 +41,7 @@ class XmlParser {
       return Error("expected a root element");
     }
     std::string tag;
-    Result<NestedValue> root = ParseElement(tag);
+    Result<NestedValue> root = ParseElement(tag, /*depth=*/1);
     if (!root.ok()) return root;
     SkipMisc();
     if (!AtEnd()) return Error("trailing content after root element");
@@ -182,7 +182,12 @@ class XmlParser {
   }
 
   // Parses an element starting at '<'; returns its value and sets `tag`.
-  Result<NestedValue> ParseElement(std::string& tag) {
+  // `depth` counts the open elements, this one included.
+  Result<NestedValue> ParseElement(std::string& tag, size_t depth) {
+    if (depth > kMaxNestingDepth) {
+      return Error(
+          StrFormat("nesting deeper than %zu levels", kMaxNestingDepth));
+    }
     ++pos_;  // '<'
     Result<std::string> name = ParseName();
     if (!name.ok()) return name.status();
@@ -266,7 +271,7 @@ class XmlParser {
       }
       if (Peek() == '<') {
         std::string child_tag;
-        Result<NestedValue> child = ParseElement(child_tag);
+        Result<NestedValue> child = ParseElement(child_tag, depth + 1);
         if (!child.ok()) return child;
         AddChild(element, child_tag, std::move(child).value());
         continue;

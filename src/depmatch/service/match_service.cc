@@ -20,8 +20,13 @@ namespace {
 ServiceOptions Sanitize(ServiceOptions options) {
   options.num_threads = std::max<size_t>(1, options.num_threads);
   options.max_queue = std::max<size_t>(1, options.max_queue);
-  options.max_batch = std::max<size_t>(1, options.max_batch);
   return options;
+}
+
+// Inserts and appends publish a new snapshot; they run behind the
+// write barrier (see the header's concurrency model).
+bool IsWrite(RequestType type) {
+  return type == RequestType::kInsert || type == RequestType::kAppend;
 }
 
 Response MakeErrorResponse(const Request& request, WireStatus status,
@@ -41,8 +46,8 @@ Response MakeStatusResponse(const Request& request, const Status& status) {
 
 // Builds the CatalogSearchOptions a search request resolves to. The
 // catalog-level fan-out stays serial (num_threads = 1): concurrency
-// comes from running the micro-batch's members as parallel pool tasks,
-// and SearchCatalog is bit-identical at any thread count, so the direct
+// comes from the pool workers each running one request, and
+// SearchCatalog is bit-identical at any thread count, so the direct
 // re-execution in tests may pick any value.
 CatalogSearchOptions ResolveSearchOptions(const SearchRequest& search,
                                           const ServiceOptions& service) {
@@ -65,10 +70,9 @@ MatchService::MatchService(GraphCatalog catalog, ServiceOptions options)
     std::lock_guard<std::mutex> lock(mu_);
     snapshot_ = std::move(first);
   }
-  // depmatch-lint: allow(raw-thread) — long-lived dispatcher consumer
-  // loop; a ThreadPool task blocking on the queue's condition variable
-  // would starve the pool (see the header's concurrency model).
-  dispatcher_ = std::thread([this] { DispatcherLoop(); });
+  for (size_t i = 0; i < options_.num_threads; ++i) {
+    pool_.Schedule([this] { WorkerLoop(); });
+  }
 }
 
 MatchService::~MatchService() { Stop(); }
@@ -132,21 +136,10 @@ std::shared_ptr<const ServiceSnapshot> MatchService::SnapshotAt(
 }
 
 StatsResponse MatchService::StatsLocked() const {
-  StatsResponse stats;
-  if (snapshot_ != nullptr) {
-    stats.snapshot_version = snapshot_->version;
-    stats.catalog_entries = snapshot_->catalog.size();
-  }
-  stats.accepted_total = counters_.accepted_total;
-  stats.completed_total = counters_.completed_total;
-  stats.shed_overload_total = counters_.shed_overload_total;
-  stats.shed_deadline_total = counters_.shed_deadline_total;
-  stats.batches_total = counters_.batches_total;
-  stats.batched_requests_total = counters_.batched_requests_total;
-  stats.inserts_total = counters_.inserts_total;
-  stats.appends_total = counters_.appends_total;
+  StatsResponse stats = counters_;
+  stats.snapshot_version = snapshot_->version;
+  stats.catalog_entries = snapshot_->catalog.size();
   stats.queue_depth = queue_.size();
-  stats.max_queue_depth_seen = counters_.max_queue_depth_seen;
   StatCache::Counters cache = stat_cache_.counters();
   stats.stat_cache_hits = cache.hits + cache.edge_hits;
   stats.stat_cache_misses = cache.misses + cache.edge_misses;
@@ -164,7 +157,7 @@ void MatchService::Stop() {
     stopping_ = true;
     work_cv_.notify_all();
   }
-  if (dispatcher_.joinable()) dispatcher_.join();
+  pool_.Wait();
   std::deque<std::unique_ptr<WorkItem>> drained;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -202,110 +195,95 @@ void MatchService::RecycleStatCache() {
   }
 }
 
-void MatchService::DispatcherLoop() {
+bool MatchService::CanStartLocked() const {
+  if (paused_ || writing_ || queue_.empty()) return false;
+  return !IsWrite(queue_.front()->request.type) || running_ == 0;
+}
+
+void MatchService::WorkerLoop() {
   for (;;) {
-    std::vector<std::unique_ptr<WorkItem>> batch;
+    std::unique_ptr<WorkItem> item;
+    std::shared_ptr<const ServiceSnapshot> snapshot;
+    bool write = false;
+    bool expired = false;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this] {
-        return stopping_ || (!queue_.empty() && !paused_);
-      });
+      work_cv_.wait(lock, [this] { return stopping_ || CanStartLocked(); });
       if (stopping_) return;
-      batch.push_back(std::move(queue_.front()));
+      item = std::move(queue_.front());
       queue_.pop_front();
-      // Micro-batching: coalesce the run of consecutive search requests
-      // at the head of the queue onto one pool pass.
-      if (batch.front()->request.type == RequestType::kSearch) {
-        while (batch.size() < options_.max_batch && !queue_.empty() &&
-               queue_.front()->request.type == RequestType::kSearch) {
-          batch.push_back(std::move(queue_.front()));
-          queue_.pop_front();
-        }
-      }
-    }
-
-    // Deadline shedding happens at dequeue: a request that waited past
-    // its deadline is answered immediately instead of executed, so
-    // overload produces fast explicit failures, not slow successes.
-    // Responses are collected first and the promises resolved only
-    // after the counter flush below, so by the time a caller unblocks
-    // the counters already account for its request.
-    Clock::time_point now = Clock::now();
-    std::vector<WorkItem*> live;
-    std::vector<std::pair<WorkItem*, Response>> resolved;
-    uint64_t shed_deadline = 0;
-    for (auto& item : batch) {
-      if (item->has_deadline && now > item->deadline) {
-        ++shed_deadline;
-        resolved.emplace_back(
-            item.get(),
-            MakeErrorResponse(
-                item->request, WireStatus::kDeadlineExceeded,
-                "deadline expired while the request was queued"));
-        continue;
-      }
-      live.push_back(item.get());
-    }
-
-    uint64_t completed = 0;
-    uint64_t batches = 0;
-    uint64_t batched_requests = 0;
-    if (!live.empty()) {
-      if (live.front()->request.type == RequestType::kSearch) {
-        // One pool pass for the whole batch. Every member executes
-        // against the same immutable snapshot, grabbed once here.
-        std::shared_ptr<const ServiceSnapshot> snap = snapshot();
-        batches = 1;
-        batched_requests = live.size();
-        std::vector<Response> responses(live.size());
-        for (size_t i = 0; i < live.size(); ++i) {
-          WorkItem* item = live[i];
-          pool_.Schedule([this, &responses, i, item, snap] {
-            responses[i] = ExecuteSearchDirect(item->request, *snap, options_);
-          });
-        }
-        pool_.Wait();
-        for (size_t i = 0; i < live.size(); ++i) {
-          resolved.emplace_back(live[i], std::move(responses[i]));
-        }
-        completed = live.size();
+      // Deadline shedding happens at dequeue: a request that waited past
+      // its deadline is answered immediately instead of executed, so
+      // overload produces fast explicit failures, not slow successes.
+      expired = item->has_deadline && Clock::now() > item->deadline;
+      if (expired) {
+        ++counters_.shed_deadline_total;
       } else {
-        resolved.emplace_back(live.front(),
-                              ExecuteSingle(live.front()->request));
-        completed = 1;
+        write = IsWrite(item->request.type);
+        writing_ = write;
+        ++running_;
+        snapshot = snapshot_;
       }
     }
+    if (expired) {
+      item->promise.set_value(
+          MakeErrorResponse(item->request, WireStatus::kDeadlineExceeded,
+                            "deadline expired while the request was queued"));
+      continue;
+    }
 
+    Response response = Execute(item->request, *snapshot);
+    // The counters account for the request before its caller unblocks.
     {
       std::lock_guard<std::mutex> lock(mu_);
-      counters_.completed_total += completed;
-      counters_.shed_deadline_total += shed_deadline;
-      counters_.batches_total += batches;
-      counters_.batched_requests_total += batched_requests;
+      --running_;
+      if (write) writing_ = false;
+      ++counters_.completed_total;
     }
-    for (auto& [item, response] : resolved) {
-      item->promise.set_value(std::move(response));
-    }
+    work_cv_.notify_all();
+    item->promise.set_value(std::move(response));
   }
 }
 
-Response MatchService::ExecuteSingle(const Request& request) {
+Response MatchService::Execute(const Request& request,
+                               const ServiceSnapshot& snapshot) {
   switch (request.type) {
+    case RequestType::kSearch:
+      return ExecuteSearchDirect(request, snapshot, options_);
     case RequestType::kMatchTables:
       RecycleStatCache();
       return ExecuteMatchDirect(
           request,
           options_.stat_cache_max_entries != 0 ? &stat_cache_ : nullptr);
     case RequestType::kInsert:
-      return ExecuteInsert(request);
+      return ExecuteInsert(request, snapshot);
     case RequestType::kAppend:
-      return ExecuteAppend(request);
-    case RequestType::kSearch:
+      return ExecuteAppend(request, snapshot);
     case RequestType::kStats:
-      break;  // handled elsewhere; fall through to the error below
+      break;  // answered inline by Process(); never queued
   }
   return MakeErrorResponse(request, WireStatus::kInternal,
                            "request type routed to the wrong executor");
+}
+
+void MatchService::Publish(std::shared_ptr<const ServiceSnapshot> next,
+                           uint64_t StatsResponse::*counter) {
+  std::shared_ptr<const ServiceSnapshot> released;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    released = std::exchange(snapshot_, std::move(next));
+    if (options_.snapshot_history > 0) {
+      history_.push_front(std::move(released));
+      if (history_.size() > options_.snapshot_history) {
+        released = std::move(history_.back());
+        history_.pop_back();
+      }
+    }
+    ++(counters_.*counter);
+  }
+  // `released` is dropped here, outside mu_: when it held the last
+  // reference, freeing the old catalog no longer stalls admission and
+  // Stats().
 }
 
 Response MatchService::ExecuteMatchDirect(const Request& request,
@@ -389,7 +367,8 @@ Response MatchService::ExecuteSearchDirect(const Request& request,
   return response;
 }
 
-Response MatchService::ExecuteInsert(const Request& request) {
+Response MatchService::ExecuteInsert(const Request& request,
+                                     const ServiceSnapshot& current) {
   Response response;
   response.request_id = request.request_id;
   response.type = RequestType::kInsert;
@@ -416,40 +395,34 @@ Response MatchService::ExecuteInsert(const Request& request) {
     graph = request.insert.graph;
   }
 
-  // Copy-on-write publication: the successor catalog is assembled here,
-  // outside any lock, while readers keep serving the current snapshot.
-  // Only the dispatcher runs inserts, so publications are serialized.
-  std::shared_ptr<const ServiceSnapshot> current = snapshot();
-  GraphCatalog next;
-  bool replaced = false;
-  if (current->catalog.Find(request.insert.name).ok()) {
-    if (!request.insert.replace_existing) {
-      return MakeErrorResponse(
-          request, WireStatus::kAlreadyExists,
-          StrFormat("entry '%s' already exists and replace_existing is off",
-                    request.insert.name.c_str()));
-    }
-    replaced = true;
-    // GraphCatalog has no erase: rebuild with the replacement swapped
-    // in. Signatures are recomputed deterministically at insert, so the
-    // surviving entries are bit-identical to their previous selves.
-    for (size_t i = 0; i < current->catalog.size(); ++i) {
-      const std::string& name = current->catalog.name(i);
-      Status inserted =
-          next.Insert(name, name == request.insert.name
-                                ? graph
-                                : current->catalog.graph(i));
-      if (!inserted.ok()) return MakeStatusResponse(request, inserted);
-    }
-  } else {
-    next = current->catalog;
-    Status inserted = next.Insert(request.insert.name, std::move(graph));
-    if (!inserted.ok()) return MakeStatusResponse(request, inserted);
+  const bool replaced = current.catalog.Find(request.insert.name).ok();
+  if (replaced && !request.insert.replace_existing) {
+    return MakeErrorResponse(
+        request, WireStatus::kAlreadyExists,
+        StrFormat("entry '%s' already exists and replace_existing is off",
+                  request.insert.name.c_str()));
   }
 
-  std::shared_ptr<const ServiceSnapshot> published =
-      MakeServiceSnapshot(current->version + 1, std::move(next),
-                          options_.build_index, options_.index);
+  // Copy-on-write publication: the successor catalog is assembled here,
+  // outside any lock, while readers keep serving the current snapshot.
+  // A replacement goes through UpdateEntry, which keeps the copied
+  // tiered index live by widening the entry's envelope path, so search
+  // stays bit-identical to a flat scan (core/catalog_index.h's
+  // widen-only contract); a new entry re-indexes.
+  GraphCatalog next = current.catalog;
+  std::shared_ptr<const ServiceSnapshot> published;
+  if (replaced) {
+    Status updated =
+        next.UpdateEntry(request.insert.name, std::move(graph), options_.index);
+    if (!updated.ok()) return MakeStatusResponse(request, updated);
+    published = MakeServiceSnapshotPreservingIndex(current.version + 1,
+                                                   std::move(next));
+  } else {
+    Status inserted = next.Insert(request.insert.name, std::move(graph));
+    if (!inserted.ok()) return MakeStatusResponse(request, inserted);
+    published = MakeServiceSnapshot(current.version + 1, std::move(next),
+                                    options_.build_index, options_.index);
+  }
   response.insert.snapshot_version = published->version;
   response.insert.catalog_entries = published->catalog.size();
   response.insert.replaced = replaced;
@@ -463,21 +436,12 @@ Response MatchService::ExecuteInsert(const Request& request) {
   } else {
     builders_.erase(request.insert.name);
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (options_.snapshot_history > 0) {
-      history_.push_front(snapshot_);
-      while (history_.size() > options_.snapshot_history) {
-        history_.pop_back();
-      }
-    }
-    snapshot_ = std::move(published);
-    ++counters_.inserts_total;
-  }
+  Publish(std::move(published), &StatsResponse::inserts_total);
   return response;
 }
 
-Response MatchService::ExecuteAppend(const Request& request) {
+Response MatchService::ExecuteAppend(const Request& request,
+                                     const ServiceSnapshot& current) {
   Response response;
   response.request_id = request.request_id;
   response.type = RequestType::kAppend;
@@ -487,8 +451,7 @@ Response MatchService::ExecuteAppend(const Request& request) {
                              "catalog entry name must not be empty");
   }
 
-  std::shared_ptr<const ServiceSnapshot> current = snapshot();
-  Result<size_t> entry = current->catalog.Find(request.append.name);
+  Result<size_t> entry = current.catalog.Find(request.append.name);
   if (!entry.ok()) return MakeStatusResponse(request, entry.status());
 
   auto it = builders_.find(request.append.name);
@@ -514,29 +477,19 @@ Response MatchService::ExecuteAppend(const Request& request) {
   // index-preserving snapshot maker skips the O(N log N) re-index
   // entirely. Search against the widened index stays bit-identical to a
   // flat scan (core/catalog_index.h's widen-only contract).
-  GraphCatalog next = current->catalog;
+  GraphCatalog next = current.catalog;
   Status updated = next.UpdateEntry(request.append.name, *std::move(refreshed),
                                     options_.index);
   if (!updated.ok()) return MakeStatusResponse(request, updated);
 
   std::shared_ptr<const ServiceSnapshot> published =
-      MakeServiceSnapshotPreservingIndex(current->version + 1,
+      MakeServiceSnapshotPreservingIndex(current.version + 1,
                                          std::move(next));
   response.append.snapshot_version = published->version;
   response.append.catalog_entries = published->catalog.size();
   response.append.rows_total = builder.rows();
   response.append.generation = builder.generation();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (options_.snapshot_history > 0) {
-      history_.push_front(snapshot_);
-      while (history_.size() > options_.snapshot_history) {
-        history_.pop_back();
-      }
-    }
-    snapshot_ = std::move(published);
-    ++counters_.appends_total;
-  }
+  Publish(std::move(published), &StatsResponse::appends_total);
   return response;
 }
 

@@ -2,9 +2,10 @@
 // Licensed under the Apache License, Version 2.0.
 //
 // MatchService: the serving core behind depmatch_serve — an admission
-// queue, a dispatcher, and an immutable published catalog snapshot,
-// independent of any transport (service/server.h speaks the socket
-// protocol and calls Process(); tests and benches call it directly).
+// queue, a pool of workers, and an immutable published catalog
+// snapshot, independent of any transport (service/server.h speaks the
+// socket protocol and calls Process(); tests and benches call it
+// directly).
 //
 // Concurrency model
 //
@@ -15,24 +16,27 @@
 //     an immediate kOverloaded response — the service sheds load
 //     explicitly instead of queueing unboundedly, so latency under
 //     overload stays bounded by what is already queued.
-//   * One dispatcher thread drains the queue. At dequeue it first
-//     enforces the request's deadline (admission-relative): a request
-//     whose deadline passed while queued is answered kDeadlineExceeded
-//     without executing. It then coalesces a run of consecutive search
-//     requests (up to max_batch) into one micro-batch executed as
-//     concurrent tasks on the owned ThreadPool — one pool pass
-//     amortized over the whole batch instead of one per request. All
-//     other request types execute singly, in admission order.
-//   * Execution reads the published snapshot pointer exactly once and
-//     works against that immutable snapshot throughout, so searches
-//     never block on inserts. An insert builds the successor snapshot
-//     outside the lock (copy + insert + re-index) and swaps the
-//     published pointer; because only the dispatcher executes inserts,
-//     publications are serialized without a writer lock.
+//   * num_threads pool workers pull from that FIFO. Each takes the head
+//     request and, in the same critical section, the published
+//     snapshot it will run against. A request whose (admission-
+//     relative) deadline has passed is answered kDeadlineExceeded there
+//     instead of executing. Counters are updated before the caller's
+//     promise resolves.
+//   * Write barrier: an insert or append at the head starts only when
+//     running_ == 0, and nothing else starts while it runs (writing_).
+//     Writes thus keep admission order — every request admitted after
+//     a write sees the snapshot it published — and builders_ is touched
+//     by one execution at a time.
+//   * Copy-on-write publication: a write copies the current catalog,
+//     applies its change, and swaps the published pointer under mu_;
+//     the superseded snapshot is released after unlocking. Copies share
+//     every unchanged catalog entry (core/graph_catalog.h), so copying
+//     costs a pointer per entry plus the tiered index, and searches in
+//     flight keep their snapshot alive through its shared_ptr.
 //
 // Determinism: execution uses single-threaded library calls
-// (num_threads = 1 inside each match/search), and batching only
-// changes *when* a search runs, never its snapshot or options — so
+// (num_threads = 1 inside each match/search), and scheduling only
+// changes *when* a request runs, never its snapshot or options — so
 // every response is bit-identical to a direct library call against
 // the snapshot named in the response. The TSan stress suite
 // (tests/stress/service_stress_test.cc) asserts exactly that, post
@@ -49,7 +53,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 
 #include "depmatch/common/thread_annotations.h"
@@ -65,14 +68,11 @@ namespace depmatch {
 namespace service {
 
 struct ServiceOptions {
-  // Workers in the owned pool that micro-batches fan out onto.
+  // Workers pulling requests from the admission queue.
   size_t num_threads = 1;
   // Admission bound: a request arriving when this many are already
   // queued is shed with kOverloaded. Must be >= 1.
   size_t max_queue = 64;
-  // Longest run of consecutive search requests coalesced onto one pool
-  // pass. Must be >= 1 (1 disables coalescing).
-  size_t max_batch = 8;
   // Deadline applied when a request carries none (0 = unlimited).
   uint64_t default_deadline_ms = 0;
   // Build the tiered index into every published snapshot.
@@ -96,8 +96,7 @@ struct ServiceOptions {
 
 class MatchService {
  public:
-  // Publishes `catalog` as snapshot version 1 and starts the
-  // dispatcher.
+  // Publishes `catalog` as snapshot version 1 and starts the workers.
   MatchService(GraphCatalog catalog, ServiceOptions options);
   ~MatchService();
 
@@ -123,14 +122,14 @@ class MatchService {
   // reports).
   StatsResponse Stats() const DEPMATCH_EXCLUDES(mu_);
 
-  // Stops the dispatcher. Queued requests are answered kShuttingDown;
-  // the request currently executing finishes first. Idempotent; also
-  // run by the destructor.
+  // Stops the workers. Queued requests are answered kShuttingDown; the
+  // requests currently executing finish first. Idempotent; also run by
+  // the destructor.
   void Stop() DEPMATCH_EXCLUDES(mu_);
 
-  // Test hooks: freeze / thaw the dispatcher between batches, so tests
-  // can fill the queue deterministically and observe shedding. Not
-  // used by production callers.
+  // Test hooks: keep / let the workers take requests from the queue, so
+  // tests can fill it deterministically and observe shedding. Not used
+  // by production callers.
   void PauseForTest() DEPMATCH_EXCLUDES(mu_);
   void ResumeForTest() DEPMATCH_EXCLUDES(mu_);
   size_t QueueDepthForTest() const DEPMATCH_EXCLUDES(mu_);
@@ -157,51 +156,52 @@ class MatchService {
     std::promise<Response> promise;
   };
 
-  // Counters mirrored into StatsResponse; all writes happen under mu_.
-  struct Counters {
-    uint64_t accepted_total = 0;
-    uint64_t completed_total = 0;
-    uint64_t shed_overload_total = 0;
-    uint64_t shed_deadline_total = 0;
-    uint64_t batches_total = 0;
-    uint64_t batched_requests_total = 0;
-    uint64_t inserts_total = 0;
-    uint64_t appends_total = 0;
-    uint64_t max_queue_depth_seen = 0;
-  };
-
-  void DispatcherLoop() DEPMATCH_EXCLUDES(mu_);
-  // Executes one non-search request on the dispatcher thread.
-  Response ExecuteSingle(const Request& request) DEPMATCH_EXCLUDES(mu_);
-  Response ExecuteInsert(const Request& request) DEPMATCH_EXCLUDES(mu_);
+  // One pool worker: takes requests off the queue until Stop().
+  void WorkerLoop() DEPMATCH_EXCLUDES(mu_);
+  // Whether the head of the queue may start now (see the write barrier
+  // in the file comment).
+  bool CanStartLocked() const DEPMATCH_REQUIRES(mu_);
+  Response Execute(const Request& request, const ServiceSnapshot& snapshot)
+      DEPMATCH_EXCLUDES(mu_);
+  Response ExecuteInsert(const Request& request,
+                         const ServiceSnapshot& current) DEPMATCH_EXCLUDES(mu_);
   // Appends delta rows to a table-backed entry's incremental builder,
   // refreshes its graph in O(delta), widens the copied catalog's index
-  // in place, and publishes — never re-indexing. Dispatcher thread only.
-  Response ExecuteAppend(const Request& request) DEPMATCH_EXCLUDES(mu_);
+  // in place, and publishes — never re-indexing.
+  Response ExecuteAppend(const Request& request,
+                         const ServiceSnapshot& current) DEPMATCH_EXCLUDES(mu_);
+  // Makes `next` the published snapshot, bumps `counter`, and releases
+  // the superseded snapshot (or the one aged out of the history) after
+  // dropping mu_.
+  void Publish(std::shared_ptr<const ServiceSnapshot> next,
+               uint64_t StatsResponse::*counter) DEPMATCH_EXCLUDES(mu_);
   StatsResponse StatsLocked() const DEPMATCH_REQUIRES(mu_);
   // Clears the stat cache when it outgrew the configured bound.
   void RecycleStatCache();
 
   const ServiceOptions options_;
-  // depmatch-analyze: allow(lock-annotation) — ThreadPool is internally
-  // synchronized (its own mutex guards the task queue).
-  ThreadPool pool_;
   // depmatch-analyze: allow(lock-annotation) — StatCache is internally
-  // synchronized; it is also only touched from the dispatcher thread.
+  // synchronized; workers running match requests share it.
   StatCache stat_cache_;
   // Per-entry incremental count state for table-backed catalog entries,
   // keyed by entry name. Inserts with InsertPayload::kTable create one;
-  // graph-blob inserts erase it; appends extend it. Only the dispatcher
-  // thread executes inserts and appends, so the map is never shared.
+  // graph-blob inserts erase it; appends extend it.
   std::unordered_map<std::string, std::unique_ptr<IncrementalGraphBuilder>>
-      builders_;  // depmatch-analyze: allow(lock-annotation) — dispatcher-only
+      // depmatch-analyze: allow(lock-annotation) — only inserts and
+      // appends touch it, and the write barrier runs them one at a time,
+      // each ordered after the last through mu_.
+      builders_;
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;
   std::deque<std::unique_ptr<WorkItem>> queue_ DEPMATCH_GUARDED_BY(mu_);
   bool stopping_ DEPMATCH_GUARDED_BY(mu_) = false;
   bool paused_ DEPMATCH_GUARDED_BY(mu_) = false;
-  Counters counters_ DEPMATCH_GUARDED_BY(mu_);
+  // Requests executing now, and whether one of them is a write.
+  size_t running_ DEPMATCH_GUARDED_BY(mu_) = 0;
+  bool writing_ DEPMATCH_GUARDED_BY(mu_) = false;
+  // The monotonic counters; StatsLocked() fills in the rest.
+  StatsResponse counters_ DEPMATCH_GUARDED_BY(mu_);
   // The published snapshot. Readers copy the shared_ptr under mu_ and
   // then work lock-free against the immutable snapshot.
   std::shared_ptr<const ServiceSnapshot> snapshot_ DEPMATCH_GUARDED_BY(mu_);
@@ -209,13 +209,10 @@ class MatchService {
   // options_.snapshot_history.
   std::deque<std::shared_ptr<const ServiceSnapshot>> history_
       DEPMATCH_GUARDED_BY(mu_);
-  // depmatch-analyze: allow(lock-annotation) — written by the
-  // constructor before any sharing and joined by Stop(); never touched
-  // concurrently.
-  // depmatch-lint: allow(raw-thread) — the dispatcher is a long-lived
-  // consumer loop, not a fan-out task; ThreadPool tasks cannot block on
-  // a condition variable without starving the pool.
-  std::thread dispatcher_;
+  // depmatch-analyze: allow(lock-annotation) — ThreadPool is internally
+  // synchronized (its own mutex guards the task queue). Declared last:
+  // its workers use every member above.
+  ThreadPool pool_;
 };
 
 }  // namespace service

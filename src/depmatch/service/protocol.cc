@@ -608,8 +608,6 @@ std::string EncodeResponse(const Response& response) {
         AppendU64(&body, stats.completed_total);
         AppendU64(&body, stats.shed_overload_total);
         AppendU64(&body, stats.shed_deadline_total);
-        AppendU64(&body, stats.batches_total);
-        AppendU64(&body, stats.batched_requests_total);
         AppendU64(&body, stats.inserts_total);
         AppendU64(&body, stats.appends_total);
         AppendU64(&body, stats.queue_depth);
@@ -730,8 +728,6 @@ Result<Response> DecodeResponse(std::string_view frame) {
             !ReadU64(bytes, &cursor, &stats.completed_total) ||
             !ReadU64(bytes, &cursor, &stats.shed_overload_total) ||
             !ReadU64(bytes, &cursor, &stats.shed_deadline_total) ||
-            !ReadU64(bytes, &cursor, &stats.batches_total) ||
-            !ReadU64(bytes, &cursor, &stats.batched_requests_total) ||
             !ReadU64(bytes, &cursor, &stats.inserts_total) ||
             !ReadU64(bytes, &cursor, &stats.appends_total) ||
             !ReadU64(bytes, &cursor, &stats.queue_depth) ||

@@ -10,7 +10,8 @@
 // graphio:: primitives this module reuses):
 //
 //   bytes 0..3   magic "DMR1" (request) / "DMP1" (response)
-//   u32          protocol version (currently 1)
+//   u32          protocol version (currently 2; version 2 dropped the
+//                two micro-batch counters from the stats payload)
 //   u64          body length in bytes
 //   body         type-specific payload (below)
 //   u32          CRC-32 of every preceding byte (magic included)
@@ -63,7 +64,7 @@ namespace service {
 
 inline constexpr std::string_view kRequestMagic = "DMR1";
 inline constexpr std::string_view kResponseMagic = "DMP1";
-inline constexpr uint32_t kProtocolVersion = 1;
+inline constexpr uint32_t kProtocolVersion = 2;
 // magic (4) + version (4) + body length (8).
 inline constexpr size_t kFrameHeaderBytes = 16;
 inline constexpr size_t kFrameTrailerBytes = 4;  // CRC-32
@@ -233,8 +234,6 @@ struct StatsResponse {
   uint64_t completed_total = 0;
   uint64_t shed_overload_total = 0;
   uint64_t shed_deadline_total = 0;
-  uint64_t batches_total = 0;
-  uint64_t batched_requests_total = 0;
   uint64_t inserts_total = 0;
   uint64_t appends_total = 0;
   uint64_t queue_depth = 0;

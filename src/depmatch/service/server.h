@@ -7,7 +7,7 @@
 // binary protocol of service/protocol.h: each connection carries a
 // sequence of DMR1 request frames, answered in order with DMP1
 // response frames. One thread per connection reads a frame, calls
-// MatchService::Process() (which blocks until the dispatcher answers),
+// MatchService::Process() (which blocks until a service worker answers),
 // and writes the response — so the per-connection socket needs no
 // locking, and concurrency across connections is bounded by the
 // service's admission queue, not by the transport.

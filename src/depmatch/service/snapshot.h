@@ -8,10 +8,11 @@
 // request grabs that pointer once at execution start and works against
 // it for its whole lifetime, so readers never block on writers and a
 // response can name exactly the catalog state it was computed on
-// (SearchResponse::snapshot_version). An insert builds a *new* snapshot
-// — copy, apply, re-index, all outside any lock — and swaps the
-// published pointer; in-flight requests keep the old snapshot alive
-// through their shared_ptr until they finish.
+// (SearchResponse::snapshot_version). A write builds a *new* snapshot
+// — copy, apply, re-index when needed, all outside any lock — and swaps
+// the published pointer; in-flight requests keep the old snapshot alive
+// through their shared_ptr until they finish. The copy shares every
+// unchanged catalog entry with its predecessor (core/graph_catalog.h).
 
 #ifndef DEPMATCH_SERVICE_SNAPSHOT_H_
 #define DEPMATCH_SERVICE_SNAPSHOT_H_
@@ -47,11 +48,12 @@ std::shared_ptr<const ServiceSnapshot> MakeServiceSnapshot(
 
 // Wraps an already-prepared catalog into a snapshot as-is, WITHOUT
 // rebuilding the tiered index: index_built reflects whatever index the
-// catalog carries. This is the incremental-append publication path — the
-// dispatcher copies the current catalog (index included), refreshes one
-// entry in place (GraphCatalog::UpdateEntry keeps the index live by
-// widening its envelope path), and publishes in O(delta) instead of the
-// O(N log N) re-index a full MakeServiceSnapshot would pay.
+// catalog carries. This is the publication path of appends and of
+// inserts that replace an entry — the writing worker copies the current
+// catalog (index included), refreshes one entry in place
+// (GraphCatalog::UpdateEntry keeps the index live by widening its
+// envelope path), and publishes without the O(N log N) re-index a full
+// MakeServiceSnapshot would pay.
 std::shared_ptr<const ServiceSnapshot> MakeServiceSnapshotPreservingIndex(
     uint64_t version, GraphCatalog catalog);
 

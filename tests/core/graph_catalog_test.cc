@@ -378,6 +378,77 @@ TEST(GraphCatalogTest, SequentialFallbackIsIdenticalToForcedFanOut) {
   ExpectSameRanking(*serial, *fallback, "serial baseline");
 }
 
+// Every double a catalog serves from — each entry's MI matrix and its
+// signature's entropies and profiles — as raw bits, in entry order.
+std::vector<uint64_t> CatalogBits(const GraphCatalog& catalog) {
+  std::vector<uint64_t> bits;
+  for (size_t e = 0; e < catalog.size(); ++e) {
+    const DependencyGraph& graph = catalog.graph(e);
+    for (size_t i = 0; i < graph.size(); ++i) {
+      for (size_t j = 0; j < graph.size(); ++j) {
+        bits.push_back(std::bit_cast<uint64_t>(graph.mi(i, j)));
+      }
+    }
+    const GraphSignature& signature = catalog.signature(e);
+    for (size_t i = 0; i < signature.size(); ++i) {
+      bits.push_back(std::bit_cast<uint64_t>(signature.entropy(i)));
+      for (size_t k = 0; k < signature.profile_length(); ++k) {
+        bits.push_back(std::bit_cast<uint64_t>(signature.ProfileDesc(i)[k]));
+      }
+    }
+  }
+  return bits;
+}
+
+TEST(GraphCatalogTest, EditingACopyLeavesTheOriginalBitIdentical) {
+  GraphCatalog original = MixedCatalog(31, 12);
+  original.BuildIndex();
+  const std::vector<uint64_t> bits = CatalogBits(original);
+  DependencyGraph query = RandomGraph(5, 3131);
+  CatalogSearchOptions options;
+  options.k = 4;
+  options.match.cardinality = Cardinality::kOnto;
+  options.match.metric = MetricKind::kMutualInfoNormal;
+  auto before = SearchCatalog(query, original, options);
+  ASSERT_TRUE(before.ok()) << before.status();
+
+  // A copy shares the unchanged entries rather than duplicating them.
+  GraphCatalog updated = original;
+  EXPECT_EQ(&updated.graph(0), &original.graph(0));
+  ASSERT_TRUE(updated.UpdateEntry("entry3", RandomGraph(6, 3132)).ok());
+  EXPECT_NE(&updated.graph(3), &original.graph(3));
+  EXPECT_EQ(&updated.graph(4), &original.graph(4));
+  EXPECT_NE(updated.index(), nullptr);
+
+  GraphCatalog grown = original;
+  ASSERT_TRUE(grown.Insert("late", RandomGraph(5, 3133)).ok());
+  EXPECT_EQ(grown.size(), original.size() + 1);
+  EXPECT_TRUE(grown.Find("late").ok());
+  EXPECT_EQ(grown.index(), nullptr);
+  // The copy's copy inserts under its own name too, without touching
+  // the name map it started from.
+  GraphCatalog grown_again = grown;
+  ASSERT_TRUE(grown_again.Insert("later", RandomGraph(4, 3134)).ok());
+  EXPECT_FALSE(grown.Find("later").ok());
+
+  // The original serves exactly what it served before the copies were
+  // edited: every graph and signature double, every name lookup, and
+  // its indexed search ranking.
+  EXPECT_EQ(CatalogBits(original), bits);
+  EXPECT_EQ(original.size(), 12u);
+  for (size_t e = 0; e < original.size(); ++e) {
+    auto found = original.Find("entry" + std::to_string(e));
+    ASSERT_TRUE(found.ok());
+    EXPECT_EQ(*found, e);
+  }
+  EXPECT_FALSE(original.Find("late").ok());
+  EXPECT_FALSE(original.Find("later").ok());
+  ASSERT_NE(original.index(), nullptr);
+  auto after = SearchCatalog(query, original, options);
+  ASSERT_TRUE(after.ok()) << after.status();
+  ExpectSameRanking(*before, *after, "original after editing copies");
+}
+
 TEST(GraphCatalogTest, InsertInvalidatesTheTieredIndex) {
   GraphCatalog catalog = MixedCatalog(23, 6);
   EXPECT_EQ(catalog.index(), nullptr);  // never built

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace depmatch {
 namespace nested {
 namespace {
@@ -109,6 +111,22 @@ TEST(ParseJsonLinesTest, ReportsLineNumberOnError) {
 TEST(ReadJsonLinesFileTest, MissingFile) {
   EXPECT_EQ(ReadJsonLinesFile("/no/such/file.jsonl").status().code(),
             StatusCode::kNotFound);
+}
+
+std::string NestedArrays(size_t depth) {
+  return std::string(depth, '[') + std::string(depth, ']');
+}
+
+TEST(ParseJsonTest, NestingIsCappedNotAStackOverflow) {
+  EXPECT_TRUE(ParseJson(NestedArrays(kMaxNestingDepth)).ok());
+  auto over = ParseJson(NestedArrays(kMaxNestingDepth + 1));
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kInvalidArgument);
+  // Hostile depth: an error, not a crash.
+  auto hostile = ParseJson(NestedArrays(100000));
+  ASSERT_FALSE(hostile.ok());
+  EXPECT_EQ(hostile.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(ParseJson("{\"a\":" + NestedArrays(100000) + "}").ok());
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "depmatch/nested/flatten.h"
 
 namespace depmatch {
@@ -129,6 +131,24 @@ TEST(ParseXmlCollectionTest, FlattensAndMatchesLikeJson) {
 TEST(ReadXmlCollectionFileTest, MissingFile) {
   EXPECT_EQ(ReadXmlCollectionFile("/no/such.xml").status().code(),
             StatusCode::kNotFound);
+}
+
+std::string NestedElements(size_t depth) {
+  std::string text;
+  for (size_t i = 0; i < depth; ++i) text += "<a>";
+  for (size_t i = 0; i < depth; ++i) text += "</a>";
+  return text;
+}
+
+TEST(ParseXmlTest, NestingIsCappedNotAStackOverflow) {
+  EXPECT_TRUE(ParseXml(NestedElements(kMaxNestingDepth)).ok());
+  auto over = ParseXml(NestedElements(kMaxNestingDepth + 1));
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kInvalidArgument);
+  // Hostile depth: an error, not a crash.
+  auto hostile = ParseXml(NestedElements(100000));
+  ASSERT_FALSE(hostile.ok());
+  EXPECT_EQ(hostile.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -208,8 +208,8 @@ TEST(ServiceServerTest, HostileLengthHeaderIsRejectedUpFront) {
 
   std::string header;
   header += kRequestMagic;
-  // version 1 (LE), then an absurd body length.
-  header.push_back(1);
+  // The current protocol version (LE), then an absurd body length.
+  header.push_back(static_cast<char>(kProtocolVersion));
   header.push_back(0);
   header.push_back(0);
   header.push_back(0);

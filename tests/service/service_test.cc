@@ -2,9 +2,9 @@
 // kOverloaded), deadline shedding, copy-on-write snapshot publication,
 // snapshot history, shutdown draining, and — throughout — bit-identity
 // of served responses with direct library calls against the snapshot
-// each response names. The dispatcher test hooks (PauseForTest /
-// ResumeForTest) make the queueing outcomes deterministic: a paused
-// dispatcher cannot drain, so admission decisions are observed exactly.
+// each response names. The worker test hooks (PauseForTest /
+// ResumeForTest) make the queueing outcomes deterministic: paused
+// workers cannot drain, so admission decisions are observed exactly.
 
 #include "depmatch/service/match_service.h"
 
@@ -418,7 +418,7 @@ TEST(MatchServiceTest, AdmissionShedsExactlyBeyondBound) {
   ASSERT_EQ(service.QueueDepthForTest(), options.max_queue);
 
   // The bound is hit: the next request sheds immediately (the
-  // dispatcher is paused, so nothing else can be serving it).
+  // workers are paused, so nothing else can be serving it).
   Response shed =
       service.Process(SearchStoredRequest(CorpusEntryName(0), 2, 200));
   EXPECT_EQ(shed.status, WireStatus::kOverloaded);
@@ -510,51 +510,61 @@ TEST(MatchServiceTest, StopDrainsQueueWithShuttingDown) {
   service.Stop();
 }
 
-TEST(MatchServiceTest, BatchingCoalescesConsecutiveSearches) {
+TEST(MatchServiceTest, WritesKeepAdmissionOrderAcrossWorkers) {
   ServiceOptions options;
-  options.max_batch = 8;
-  options.max_queue = 16;
+  options.num_threads = 4;
+  options.snapshot_history = 4;
   MatchService service(MakeCatalog(), options);
   service.PauseForTest();
 
-  constexpr size_t kBurst = 6;
-  std::vector<Response> responses(kBurst);
+  Request insert;
+  insert.type = RequestType::kInsert;
+  insert.request_id = 502;
+  insert.insert.name = "ordered_entry";
+  insert.insert.payload = InsertPayload::kTable;
+  insert.insert.table = MakeSmallTable(77);
+  const std::vector<Request> requests = {
+      SearchStoredRequest(CorpusEntryName(0), 3, 500),
+      SearchStoredRequest(CorpusEntryName(1), 3, 501),
+      insert,
+      SearchStoredRequest(CorpusEntryName(2), 3, 503),
+      SearchStoredRequest(CorpusEntryName(3), 3, 504),
+  };
+  std::vector<Response> responses(requests.size());
   // depmatch-lint: allow(raw-thread)
   std::vector<std::thread> callers;
-  for (size_t i = 0; i < kBurst; ++i) {
-    // depmatch-lint: allow(raw-thread) — a burst of concurrent blocked
-    // callers is what the dispatcher coalesces.
-    callers.emplace_back([&service, &responses, i] {
-      responses[i] = service.Process(
-          SearchStoredRequest(CorpusEntryName(i % kCorpusEntries), 3,
-                              500 + i));
+  for (size_t i = 0; i < requests.size(); ++i) {
+    // depmatch-lint: allow(raw-thread) — each caller blocks in Process()
+    // on its own thread; admitting them one at a time fixes queue order.
+    callers.emplace_back([&service, &requests, &responses, i] {
+      responses[i] = service.Process(requests[i]);
     });
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (service.QueueDepthForTest() < i + 1 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(service.QueueDepthForTest(), i + 1);
   }
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (service.QueueDepthForTest() < kBurst &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_EQ(service.QueueDepthForTest(), kBurst);
   service.ResumeForTest();
   // depmatch-lint: allow(raw-thread)
   for (std::thread& thread : callers) thread.join();
 
-  auto snapshot = service.snapshot();
-  for (size_t i = 0; i < kBurst; ++i) {
+  // Searches admitted before the insert ran on the old snapshot even
+  // though idle workers were free; searches admitted after it ran on
+  // the snapshot it published.
+  ASSERT_EQ(responses[2].status, WireStatus::kOk) << responses[2].message;
+  EXPECT_EQ(responses[2].insert.snapshot_version, 2u);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    if (i == 2) continue;
     ASSERT_EQ(responses[i].status, WireStatus::kOk) << responses[i].message;
-    // Batched execution is unobservable in the result: bit-identical
-    // to the direct call.
+    uint64_t version = i < 2 ? 1u : 2u;
+    EXPECT_EQ(responses[i].search.snapshot_version, version) << "request " << i;
     Response direct = MatchService::ExecuteSearchDirect(
-        SearchStoredRequest(CorpusEntryName(i % kCorpusEntries), 3, 500 + i),
-        *snapshot, service.options());
+        requests[i], *service.SnapshotAt(version), service.options());
     ExpectBitIdenticalSearch(responses[i], direct);
   }
-  StatsResponse stats = service.Stats();
-  // The whole burst was queued before the dispatcher woke, so it ran
-  // as one micro-batch.
-  EXPECT_EQ(stats.batches_total, 1u);
-  EXPECT_EQ(stats.batched_requests_total, kBurst);
+  EXPECT_EQ(service.Stats().completed_total, 5u);
 }
 
 }  // namespace

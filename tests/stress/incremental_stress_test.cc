@@ -1,9 +1,11 @@
 // Concurrency stress for the incremental append path: appender clients
 // stream disjoint deltas into their own table-backed entries while
 // search clients hammer the catalog and an inserter churns snapshot
-// publications — all over real sockets. Under the `tsan` preset the
-// race detector watches the builder map (dispatcher-only), the widened
-// index inside copied catalogs, and the index-preserving snapshot swap.
+// publications — all over real sockets, served by 4 pool workers.
+// Under the `tsan` preset the race detector watches the builder map
+// (behind the write barrier), the stat cache, the catalog entries and
+// widened index shared between copied catalogs, and the
+// index-preserving snapshot swap.
 // In every build the test then replays POST HOC, from the retained
 // snapshot history:
 //   * every append response: the entry graph published at exactly that
@@ -102,6 +104,7 @@ TEST(IncrementalStressTest, ConcurrentAppendsSearchesAndInsertsReplayExactly) {
         catalog.Insert(CorpusEntryName(i), CorpusEntry(corpus, i)).ok());
   }
   ServiceOptions service_options;
+  service_options.num_threads = 4;
   // Every publication the run can produce must stay resolvable for the
   // post-hoc replay: seed inserts + appends + inserter churn.
   service_options.snapshot_history =
@@ -136,8 +139,10 @@ TEST(IncrementalStressTest, ConcurrentAppendsSearchesAndInsertsReplayExactly) {
   };
   std::vector<std::vector<Response>> append_responses(kAppenders);
   std::vector<std::vector<ServedSearch>> searches(kSearchers);
-  std::vector<bool> appender_ok(kAppenders, false);
-  std::vector<bool> searcher_ok(kSearchers, false);
+  // Bytes, not vector<bool>: each client thread sets its own flag, and
+  // vector<bool> packs neighbouring flags into one shared word.
+  std::vector<uint8_t> appender_ok(kAppenders, 0);
+  std::vector<uint8_t> searcher_ok(kSearchers, 0);
   bool inserter_ok = false;
 
   {

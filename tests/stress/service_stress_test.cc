@@ -1,9 +1,10 @@
 // Concurrency stress for the matching service: 8 concurrent socket
 // clients mixing catalog searches with inserts (copy-on-write snapshot
-// swaps) while the dispatcher micro-batches. Under the `tsan` preset
-// (ctest label `tsan_stress`) the race detector watches the admission
-// queue, the snapshot pointer swap, and the pool fan-out; in every
-// build the test then re-verifies POST HOC that each search response
+// swaps) and table matches (the shared stat cache), served by 4 pool
+// workers. Under the `tsan` preset (ctest label `tsan_stress`) the race
+// detector watches the admission queue, the write barrier, the snapshot
+// pointer swap, and the catalog entries shared between snapshots; in
+// every build the test then re-verifies POST HOC that each search response
 // is bit-identical to a direct library call against the exact snapshot
 // version the response names — concurrent inserts may change *which*
 // snapshot served a search, never *what* that snapshot returns.
@@ -85,6 +86,7 @@ TEST(ServiceStressTest, ConcurrentSearchesAndInsertsStayBitIdentical) {
         catalog.Insert(CorpusEntryName(i), CorpusEntry(corpus, i)).ok());
   }
   ServiceOptions service_options;
+  service_options.num_threads = 4;
   // Every publication the run can produce must stay resolvable for the
   // post-hoc verification pass.
   service_options.snapshot_history = kClients * kRequestsPerClient + 4;
@@ -104,7 +106,10 @@ TEST(ServiceStressTest, ConcurrentSearchesAndInsertsStayBitIdentical) {
     size_t round = 0;
   };
   std::vector<std::vector<ServedSearch>> searches(kClients);
-  std::vector<bool> client_ok(kClients, false);
+  std::vector<std::vector<std::pair<Request, Response>>> matches(kClients);
+  // Bytes, not vector<bool>: each client thread sets its own flag, and
+  // vector<bool> packs neighbouring flags into one shared word.
+  std::vector<uint8_t> client_ok(kClients, 0);
 
   {
     // depmatch-lint: allow(raw-thread)
@@ -128,6 +133,21 @@ TEST(ServiceStressTest, ConcurrentSearchesAndInsertsStayBitIdentical) {
             ASSERT_TRUE(inserted.ok()) << inserted.status();
             ASSERT_EQ(inserted->status, WireStatus::kOk)
                 << inserted->message;
+            continue;
+          }
+          if (c % 2 == 0 && r % 3 == 1) {
+            // Even clients interleave table matches, which the workers
+            // run concurrently through the service's shared stat cache.
+            Request request;
+            request.type = RequestType::kMatchTables;
+            request.match.source = MakeStressTable(c * 100 + r);
+            request.match.target = MakeStressTable(c * 100 + r + 7);
+            Result<Response> matched = client->MatchTables(
+                request.match.source, request.match.target);
+            ASSERT_TRUE(matched.ok()) << matched.status();
+            ASSERT_EQ(matched->status, WireStatus::kOk) << matched->message;
+            request.request_id = matched->request_id;
+            matches[c].emplace_back(std::move(request), *std::move(matched));
             continue;
           }
           std::string name = CorpusEntryName((c + r) % kCorpusEntries);
@@ -173,6 +193,30 @@ TEST(ServiceStressTest, ConcurrentSearchesAndInsertsStayBitIdentical) {
     }
   }
   EXPECT_GT(verified, 0u);
+
+  // Matches must not depend on what the stat cache held or on which
+  // worker ran them: each is bit-identical to an uncached direct call.
+  size_t matched = 0;
+  for (size_t c = 0; c < kClients; ++c) {
+    for (const auto& [request, served] : matches[c]) {
+      Response direct =
+          MatchService::ExecuteMatchDirect(request, /*stat_cache=*/nullptr);
+      ASSERT_EQ(direct.status, WireStatus::kOk) << direct.message;
+      EXPECT_EQ(std::bit_cast<uint64_t>(served.match.metric_value),
+                std::bit_cast<uint64_t>(direct.match.metric_value))
+          << "client " << c;
+      ASSERT_EQ(served.match.correspondences.size(),
+                direct.match.correspondences.size());
+      for (size_t i = 0; i < served.match.correspondences.size(); ++i) {
+        EXPECT_EQ(served.match.correspondences[i].source_index,
+                  direct.match.correspondences[i].source_index);
+        EXPECT_EQ(served.match.correspondences[i].target_index,
+                  direct.match.correspondences[i].target_index);
+      }
+      ++matched;
+    }
+  }
+  EXPECT_GT(matched, 0u);
 
   // Every odd-client insert published exactly one new version.
   StatsResponse stats = service.Stats();

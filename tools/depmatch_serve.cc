@@ -4,12 +4,12 @@
 // depmatch_serve: the matching daemon.
 //
 // Owns an immutable published catalog snapshot, a StatCache, and a
-// ThreadPool, and serves the framed binary protocol of
+// pool of workers, and serves the framed binary protocol of
 // src/depmatch/service/protocol.h on a local AF_UNIX socket: match two
 // inline tables, top-k catalog search (inline table or stored entry),
 // insert/update catalog entries (copy-on-write snapshot swap), and
-// stats/health — with per-request deadlines, bounded admission
-// (explicit kOverloaded shedding), and micro-batched search execution.
+// stats/health — with per-request deadlines and bounded admission
+// (explicit kOverloaded shedding).
 //
 // The starting catalog is loaded from --catalog (a GraphCatalog::Save
 // file) or generated synthetically (--corpus_entries, datagen's banded
@@ -59,13 +59,11 @@ int main(int argc, char** argv) {
                  "entries of synthetic banded corpus to start with when "
                  "no --catalog is given (0 = start empty)");
   flags.AddInt64("corpus_seed", 17, "seed for the synthetic corpus");
-  flags.AddInt64("threads", 1, "worker threads in the service pool");
+  flags.AddInt64("threads", 1,
+                 "service workers pulling from the admission queue");
   flags.AddInt64("max_queue", 64,
                  "admission bound: requests beyond this are shed with "
                  "kOverloaded");
-  flags.AddInt64("max_batch", 8,
-                 "longest run of search requests coalesced onto one "
-                 "pool pass");
   flags.AddInt64("default_deadline_ms", 0,
                  "deadline for requests that carry none (0 = unlimited)");
   flags.AddInt64("snapshot_history", 8,
@@ -114,8 +112,6 @@ int main(int argc, char** argv) {
       static_cast<size_t>(flags.GetInt64("threads"));
   service_options.max_queue =
       static_cast<size_t>(flags.GetInt64("max_queue"));
-  service_options.max_batch =
-      static_cast<size_t>(flags.GetInt64("max_batch"));
   service_options.default_deadline_ms =
       static_cast<uint64_t>(flags.GetInt64("default_deadline_ms"));
   service_options.snapshot_history =
