@@ -19,7 +19,7 @@
 //
 // Before any timing, the bench gates on correctness: every backend must
 // produce *identical* matchings (same pairs, bit-equal metric value) in
-// both modes, and the parallel paths (multi-restart annealing, GA row
+// both modes (annealing under all three cardinalities), and the parallel paths (multi-restart annealing, GA row
 // updates, exhaustive root branches) must be bit-identical across thread
 // counts. The process exits nonzero if any gate fails.
 //
@@ -778,6 +778,22 @@ int Run(bool smoke, const std::string& output_path) {
     auto sa_new = AnnealingMatch(a, b, options, sa_params);
     DEPMATCH_CHECK(sa_seed.ok() && sa_new.ok());
     gate(SameMatching(*sa_seed, *sa_new), "annealing", n);
+    // The same gate for the other cardinalities: onto against a wider
+    // target, partial (whose toggle and steal moves one-to-one never
+    // proposes) against an unrelated one.
+    DependencyGraph wider = RandomGraph(n + 3, 5000 + n);
+    for (Cardinality cardinality :
+         {Cardinality::kOnto, Cardinality::kPartial}) {
+      MatchOptions other = options;
+      other.cardinality = cardinality;
+      auto other_seed = SeedAnnealingMatch(a, wider, other, sa_params);
+      auto other_new = AnnealingMatch(a, wider, other, sa_params);
+      DEPMATCH_CHECK(other_seed.ok() && other_new.ok());
+      gate(SameMatching(*other_seed, *other_new),
+           cardinality == Cardinality::kOnto ? "annealing onto"
+                                             : "annealing partial",
+           n);
+    }
     Sample s = Measure("annealing", n, 1, 1, "seed_ref", reps, [&] {
       DEPMATCH_CHECK(SeedAnnealingMatch(a, b, options, sa_params).ok());
     });

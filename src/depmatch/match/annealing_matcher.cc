@@ -32,10 +32,34 @@ struct RestartOutcome {
   uint64_t moves_tried = 0;
 };
 
-// One annealing run over the shared kernel, seeded with `seed`. The move
-// proposal / acceptance sequence is identical to the historical
-// implementation; only the mechanics changed (allocation-free ScoreState
-// deltas, O(1) owner lookup, fixed-size undo stacks).
+// One assignment change of a move: s -> t when `assign`, else dropping s
+// (mapped to t).
+struct Step {
+  size_t s;
+  size_t t;
+  bool assign;
+};
+
+// The gains of one proposed move, valid while `epoch` equals the
+// restart's current epoch.
+struct MoveGains {
+  uint64_t epoch = 0;
+  double gain[4] = {};
+};
+
+// One annealing run over the shared kernel, seeded with `seed`. Every gain
+// it applies is the double a recomputation over the current assignment
+// would give, so the proposal / acceptance sequence and the result are
+// those of recomputing every gain; two rules avoid the recomputation:
+//   * a rejected move rolls back by replaying the gains its steps applied,
+//     in reverse. Each rollback step sees exactly the pair set its forward
+//     twin saw, so sum() moves by the same doubles (drift included);
+//   * a move's gains depend only on the assignment, which changes only when
+//     a move is accepted. Each (s1, t_new) proposal keeps its gains under
+//     an epoch that every acceptance bumps, so a repeat proposal inside the
+//     same epoch (most proposals: almost every move is rejected) applies
+//     its kept gains without any gain arithmetic.
+// The kept gains are local to the run, so restarts stay independent.
 RestartOutcome RunRestart(const ScoreKernel& kernel,
                           const std::vector<std::vector<size_t>>& candidates,
                           const std::vector<char>& allowed,
@@ -58,11 +82,11 @@ RestartOutcome RunRestart(const ScoreKernel& kernel,
   out.best_sum = state.sum();
   state.AppendPairs(&out.best_pairs);
 
-  // A move touches at most two sources, so the undo stacks never exceed
-  // two entries each.
-  size_t undo_assign_s[2];
-  size_t undo_assign_t[2];
-  size_t undo_unassign[2];
+  // Indexed by s1 * m + t_new. Epoch 0 marks a slot never filled.
+  std::vector<MoveGains> move_gains(n * m);
+  uint64_t epoch = 1;
+  // A move is at most four steps, unassigns before assigns.
+  Step steps[4] = {};
 
   Rng rng(seed);
   for (double temperature = params.initial_temperature;
@@ -76,25 +100,15 @@ RestartOutcome RunRestart(const ScoreKernel& kernel,
       size_t t_new = cand[rng.NextBounded(cand.size())];
       size_t t_old = state.target_of(s1);
 
-      double before = state.sum();
-      size_t num_undo_assign = 0;
-      size_t num_undo_unassign = 0;
-
+      size_t num_steps = 0;
       if (t_old == t_new) {
         if (!partial) continue;
         // Toggle: drop s1 (partial only).
-        state.Unassign(s1);
-        undo_assign_s[num_undo_assign] = s1;
-        undo_assign_t[num_undo_assign++] = t_old;
+        steps[num_steps++] = {s1, t_old, false};
       } else if (!state.target_used(t_new)) {
         // Reassign (or fresh assign) s1 -> t_new.
-        if (t_old != kUnassigned) {
-          state.Unassign(s1);
-          undo_assign_s[num_undo_assign] = s1;
-          undo_assign_t[num_undo_assign++] = t_old;
-        }
-        state.Assign(s1, t_new);
-        undo_unassign[num_undo_unassign++] = s1;
+        if (t_old != kUnassigned) steps[num_steps++] = {s1, t_old, false};
+        steps[num_steps++] = {s1, t_new, true};
       } else {
         // Swap with the owner of t_new, if mutually legal.
         size_t s2 = state.source_of(t_new);
@@ -103,24 +117,35 @@ RestartOutcome RunRestart(const ScoreKernel& kernel,
           // s1 unmatched: steal t_new, leaving s2 unmatched (partial) or
           // illegal (exact cardinalities).
           if (!partial) continue;
-          state.Unassign(s2);
-          undo_assign_s[num_undo_assign] = s2;
-          undo_assign_t[num_undo_assign++] = t_new;
-          state.Assign(s1, t_new);
-          undo_unassign[num_undo_unassign++] = s1;
+          steps[num_steps++] = {s2, t_new, false};
+          steps[num_steps++] = {s1, t_new, true};
         } else {
           if (!allowed[s2 * m + t_old]) continue;
-          state.Unassign(s1);
-          undo_assign_s[num_undo_assign] = s1;
-          undo_assign_t[num_undo_assign++] = t_old;
-          state.Unassign(s2);
-          undo_assign_s[num_undo_assign] = s2;
-          undo_assign_t[num_undo_assign++] = t_new;
-          state.Assign(s1, t_new);
-          undo_unassign[num_undo_unassign++] = s1;
-          state.Assign(s2, t_old);
-          undo_unassign[num_undo_unassign++] = s2;
+          steps[num_steps++] = {s1, t_old, false};
+          steps[num_steps++] = {s2, t_new, false};
+          steps[num_steps++] = {s1, t_new, true};
+          steps[num_steps++] = {s2, t_old, true};
         }
+      }
+
+      double before = state.sum();
+      MoveGains& gains = move_gains[s1 * m + t_new];
+      if (gains.epoch == epoch) {
+        for (size_t i = 0; i < num_steps; ++i) {
+          const Step& st = steps[i];
+          if (st.assign) {
+            state.Assign(st.s, st.t, gains.gain[i]);
+          } else {
+            state.Unassign(st.s, gains.gain[i]);
+          }
+        }
+      } else {
+        for (size_t i = 0; i < num_steps; ++i) {
+          const Step& st = steps[i];
+          gains.gain[i] =
+              st.assign ? state.Assign(st.s, st.t) : state.Unassign(st.s);
+        }
+        gains.epoch = epoch;
       }
 
       double delta = state.sum() - before;
@@ -129,14 +154,17 @@ RestartOutcome RunRestart(const ScoreKernel& kernel,
                     rng.NextDouble() < std::exp(improvement / temperature);
       if (!accept) {
         // Roll back in reverse order of application.
-        for (size_t i = num_undo_unassign; i > 0; --i) {
-          state.Unassign(undo_unassign[i - 1]);
-        }
-        for (size_t i = num_undo_assign; i > 0; --i) {
-          state.Assign(undo_assign_s[i - 1], undo_assign_t[i - 1]);
+        for (size_t i = num_steps; i > 0; --i) {
+          const Step& st = steps[i - 1];
+          if (st.assign) {
+            state.Unassign(st.s, gains.gain[i - 1]);
+          } else {
+            state.Assign(st.s, st.t, gains.gain[i - 1]);
+          }
         }
         continue;
       }
+      ++epoch;
       if (better(state.sum(), out.best_sum)) {
         out.best_sum = state.sum();
         state.AppendPairs(&out.best_pairs);
@@ -230,9 +258,10 @@ Result<MatchResult> AnnealingMatch(const DependencyGraph& source,
   // Delta-kernel self-check: the incrementally maintained sum must agree
   // with a from-scratch evaluation (catches future delta-kernel bugs).
   double full_sum = metric.EvaluateSum(source, target, result.pairs);
-  DEPMATCH_CHECK(std::fabs(outcomes[winner].best_sum - full_sum) <= 1e-6)
-      << "annealing delta sum " << outcomes[winner].best_sum
-      << " diverged from full evaluation " << full_sum;
+  if (std::fabs(outcomes[winner].best_sum - full_sum) > 1e-6) {
+    DEPMATCH_LOG(Fatal) << "annealing delta sum " << outcomes[winner].best_sum
+                        << " diverged from full evaluation " << full_sum;
+  }
 #endif
   // Recompute from scratch to shed accumulated floating-point drift.
   result.metric_value = metric.Evaluate(source, target, result.pairs);

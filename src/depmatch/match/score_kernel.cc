@@ -7,7 +7,6 @@
 // and exercise this contract.
 #include "depmatch/match/score_kernel.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "depmatch/common/logging.h"
@@ -94,7 +93,7 @@ double ScoreKernel::PairTerm(size_t s, size_t t, size_t s2,
 
 template <bool kEuclidean>
 double ScoreKernel::GainOfImpl(const MatchPair* assigned, size_t count,
-                               size_t s, size_t t, bool exclude_s) const {
+                               size_t s, size_t t) const {
   if (!structural_) {
     return TermOf<kEuclidean>(a_flat_[s * n_ + s], b_flat_[t * m_ + t],
                               alpha_);
@@ -103,7 +102,6 @@ double ScoreKernel::GainOfImpl(const MatchPair* assigned, size_t count,
     const double* row = pair_terms_.data() + (s * m_ + t) * (n_ * m_);
     double gain = row[s * m_ + t];
     for (size_t i = 0; i < count; ++i) {
-      if (exclude_s && assigned[i].source == s) continue;
       gain += 2.0 * row[assigned[i].source * m_ + assigned[i].target];
     }
     return gain;
@@ -112,7 +110,6 @@ double ScoreKernel::GainOfImpl(const MatchPair* assigned, size_t count,
   const double* b_row = b_flat_.data() + t * m_;
   double gain = TermOf<kEuclidean>(a_row[s], b_row[t], alpha_);
   for (size_t i = 0; i < count; ++i) {
-    if (exclude_s && assigned[i].source == s) continue;
     gain += 2.0 * TermOf<kEuclidean>(a_row[assigned[i].source],
                                      b_row[assigned[i].target], alpha_);
   }
@@ -121,14 +118,8 @@ double ScoreKernel::GainOfImpl(const MatchPair* assigned, size_t count,
 
 double ScoreKernel::GainOf(const MatchPair* assigned, size_t count,
                            size_t s, size_t t) const {
-  return euclidean_ ? GainOfImpl<true>(assigned, count, s, t, false)
-                    : GainOfImpl<false>(assigned, count, s, t, false);
-}
-
-double ScoreKernel::GainOfExcluding(const MatchPair* assigned, size_t count,
-                                    size_t s, size_t t) const {
-  return euclidean_ ? GainOfImpl<true>(assigned, count, s, t, true)
-                    : GainOfImpl<false>(assigned, count, s, t, true);
+  return euclidean_ ? GainOfImpl<true>(assigned, count, s, t)
+                    : GainOfImpl<false>(assigned, count, s, t);
 }
 
 template <bool kEuclidean>
@@ -227,50 +218,76 @@ double ScoreKernel::SoftGradient(const double* soft, size_t stride,
 ScoreState::ScoreState(const ScoreKernel& kernel)
     : kernel_(kernel),
       target_of_(kernel.source_size(), kUnassigned),
-      source_of_(kernel.target_size(), kUnassigned) {
-  assigned_.reserve(kernel.source_size());
-}
+      source_of_(kernel.target_size(), kUnassigned) {}
 
-void ScoreState::Reset() {
-  std::fill(target_of_.begin(), target_of_.end(), kUnassigned);
-  std::fill(source_of_.begin(), source_of_.end(), kUnassigned);
-  assigned_.clear();
-  sum_ = 0.0;
+template <bool kEuclidean>
+double ScoreState::GainOfImpl(size_t s, size_t t) const {
+  const ScoreKernel& k = kernel_;
+  size_t n = k.n_;
+  size_t m = k.m_;
+  if (!k.structural_) {
+    return TermOf<kEuclidean>(k.a_flat_[s * n + s], k.b_flat_[t * m + t],
+                              k.alpha_);
+  }
+  if (!k.pair_terms_.empty()) {
+    const double* row = k.pair_terms_.data() + (s * m + t) * (n * m);
+    double gain = row[s * m + t];
+    for (size_t s2 = 0; s2 < n; ++s2) {
+      size_t t2 = target_of_[s2];
+      if (s2 == s || t2 == kUnassigned) continue;
+      gain += 2.0 * row[s2 * m + t2];
+    }
+    return gain;
+  }
+  const double* a_row = k.a_flat_.data() + s * n;
+  const double* b_row = k.b_flat_.data() + t * m;
+  double gain = TermOf<kEuclidean>(a_row[s], b_row[t], k.alpha_);
+  for (size_t s2 = 0; s2 < n; ++s2) {
+    size_t t2 = target_of_[s2];
+    if (s2 == s || t2 == kUnassigned) continue;
+    gain += 2.0 * TermOf<kEuclidean>(a_row[s2], b_row[t2], k.alpha_);
+  }
+  return gain;
 }
 
 double ScoreState::GainOf(size_t s, size_t t) const {
-  return kernel_.GainOfExcluding(assigned_.data(), assigned_.size(), s, t);
+  return kernel_.euclidean_ ? GainOfImpl<true>(s, t)
+                            : GainOfImpl<false>(s, t);
 }
 
-void ScoreState::Assign(size_t s, size_t t) {
-  sum_ += GainOf(s, t);
+double ScoreState::Assign(size_t s, size_t t) {
+  double gain = GainOf(s, t);
+  Assign(s, t, gain);
+  return gain;
+}
+
+double ScoreState::Unassign(size_t s) {
+  // The gain skips s itself, so it reads the same before or after the
+  // maps forget s.
+  double gain = GainOf(s, target_of_[s]);
+  Unassign(s, gain);
+  return gain;
+}
+
+void ScoreState::Assign(size_t s, size_t t, double gain) {
+  sum_ += gain;
   target_of_[s] = t;
   source_of_[t] = s;
-  // Insert keeping ascending source order; capacity was reserved, so this
-  // never allocates.
-  size_t i = assigned_.size();
-  assigned_.push_back({s, t});
-  while (i > 0 && assigned_[i - 1].source > s) {
-    assigned_[i] = assigned_[i - 1];
-    --i;
-  }
-  assigned_[i] = {s, t};
+  ++assigned_count_;
 }
 
-void ScoreState::Unassign(size_t s) {
-  size_t t = target_of_[s];
+void ScoreState::Unassign(size_t s, double gain) {
+  source_of_[target_of_[s]] = kUnassigned;
   target_of_[s] = kUnassigned;
-  source_of_[t] = kUnassigned;
-  auto it = std::lower_bound(
-      assigned_.begin(), assigned_.end(), s,
-      [](const MatchPair& p, size_t v) { return p.source < v; });
-  assigned_.erase(it);
-  // Contribution is measured against the assignment without s.
-  sum_ -= GainOf(s, t);
+  --assigned_count_;
+  sum_ -= gain;
 }
 
 void ScoreState::AppendPairs(std::vector<MatchPair>* out) const {
-  out->assign(assigned_.begin(), assigned_.end());
+  out->clear();
+  for (size_t s = 0; s < target_of_.size(); ++s) {
+    if (target_of_[s] != kUnassigned) out->push_back({s, target_of_[s]});
+  }
 }
 
 }  // namespace depmatch

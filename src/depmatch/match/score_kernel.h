@@ -72,11 +72,6 @@ class ScoreKernel {
   double GainOf(const MatchPair* assigned, size_t count, size_t s,
                 size_t t) const;
 
-  // Like GainOf, but skips entries whose source equals `s` (the
-  // contribution of s -> t measured against the assignment minus s).
-  double GainOfExcluding(const MatchPair* assigned, size_t count, size_t s,
-                         size_t t) const;
-
   // == Metric::EvaluateSum / Metric::Evaluate (bit-identical).
   double EvaluateSum(const std::vector<MatchPair>& pairs) const;
   double Evaluate(const std::vector<MatchPair>& pairs) const;
@@ -91,9 +86,13 @@ class ScoreKernel {
                       size_t t) const;
 
  private:
+  // ScoreState computes its gains straight from the flat rows and the
+  // pair-term table.
+  friend class ScoreState;
+
   template <bool kEuclidean>
   double GainOfImpl(const MatchPair* assigned, size_t count, size_t s,
-                    size_t t, bool exclude_s) const;
+                    size_t t) const;
   template <bool kEuclidean>
   double EvaluateSumImpl(const std::vector<MatchPair>& pairs) const;
   template <bool kEuclidean>
@@ -112,19 +111,23 @@ class ScoreKernel {
   std::vector<double> pair_terms_;  // (n*m) x (n*m) or empty
 };
 
-// Mutable assignment state over a ScoreKernel with allocation-free
-// O(assigned) delta updates: Assign/Unassign maintain the running
-// objective sum incrementally. Assigned pairs are kept sorted by source,
-// so delta sums accumulate in ascending source order — the same order the
-// seed annealing State used, making trajectories bit-identical.
+// Mutable assignment state over a ScoreKernel, for the annealing matcher.
+// Assign/Unassign are O(1) apart from the gain: they update the target and
+// source maps and add or subtract the gain of the changed pair to the
+// running objective sum. A gain iterates the assigned sources in ascending
+// source order (the order the seed annealing State used), so sums and
+// trajectories are bit-identical to it.
+//
+// Because a gain depends only on the set of assigned pairs, a caller that
+// already holds the gain of a state change (one returned earlier for the
+// same change over the same assignment) can replay it through the
+// three-argument overloads: sum() moves by exactly the same double as a
+// recomputation would, without the O(n) pass.
 class ScoreState {
  public:
   static constexpr size_t kUnassigned = static_cast<size_t>(-1);
 
   explicit ScoreState(const ScoreKernel& kernel);
-
-  // Back to the empty assignment (no deallocation).
-  void Reset();
 
   size_t target_of(size_t s) const { return target_of_[s]; }
   // Source currently mapped to t, or kUnassigned. O(1): the inverse map
@@ -133,27 +136,36 @@ class ScoreState {
   bool target_used(size_t t) const {
     return source_of_[t] != kUnassigned;
   }
-  size_t assigned_count() const { return assigned_.size(); }
+  size_t assigned_count() const { return assigned_count_; }
   double sum() const { return sum_; }
 
   // Contribution of assigning s -> t given the current assignment minus
-  // s. Allocation-free.
+  // s. Allocation-free, O(n).
   double GainOf(size_t s, size_t t) const;
 
   // Preconditions: s unassigned and t free (Assign); s assigned
-  // (Unassign).
-  void Assign(size_t s, size_t t);
-  void Unassign(size_t s);
+  // (Unassign). Each returns the gain it added to (Assign) or subtracted
+  // from (Unassign) sum().
+  double Assign(size_t s, size_t t);
+  double Unassign(size_t s);
+
+  // The same state changes with the gain supplied by the caller instead of
+  // computed. O(1).
+  void Assign(size_t s, size_t t, double gain);
+  void Unassign(size_t s, double gain);
 
   // Replaces *out with the current pairs, sorted by source. Reuses the
   // vector's capacity.
   void AppendPairs(std::vector<MatchPair>* out) const;
 
  private:
+  template <bool kEuclidean>
+  double GainOfImpl(size_t s, size_t t) const;
+
   const ScoreKernel& kernel_;
-  std::vector<size_t> target_of_;    // size n
-  std::vector<size_t> source_of_;    // size m
-  std::vector<MatchPair> assigned_;  // sorted by source; capacity n
+  std::vector<size_t> target_of_;  // size n
+  std::vector<size_t> source_of_;  // size m
+  size_t assigned_count_ = 0;
   double sum_ = 0.0;
 };
 

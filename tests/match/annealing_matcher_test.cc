@@ -2,12 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <optional>
 #include <set>
+#include <vector>
 
 #include "depmatch/common/rng.h"
+#include "depmatch/match/candidate_filter.h"
 #include "depmatch/match/exhaustive_matcher.h"
 #include "depmatch/match/greedy_matcher.h"
 #include "depmatch/match/metric.h"
+#include "depmatch/match/score_kernel.h"
 
 namespace depmatch {
 namespace {
@@ -118,7 +125,7 @@ TEST(AnnealingMatchTest, DeterministicForFixedSeed) {
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r1->pairs, r2->pairs);
-  EXPECT_DOUBLE_EQ(r1->metric_value, r2->metric_value);
+  EXPECT_EQ(r1->metric_value, r2->metric_value);
 }
 
 TEST(AnnealingMatchTest, ResultIsValidMapping) {
@@ -195,6 +202,230 @@ TEST(AnnealingMatchTest, MultiRestartNeverWorseThanSingleRestart) {
     ASSERT_TRUE(one.ok());
     ASSERT_TRUE(four.ok());
     EXPECT_GE(four->metric_value, one->metric_value - 1e-9);
+  }
+}
+
+// Replica of the annealing matcher before rollback replay and the move-gain
+// cache: every step, forward or rollback, recomputes its gain with
+// ScoreKernel::GainOf over the other assigned pairs in ascending source
+// order. Restarts run serially.
+class RecomputingState {
+ public:
+  explicit RecomputingState(const ScoreKernel& kernel)
+      : kernel_(kernel),
+        target_of_(kernel.source_size(), kUnassigned),
+        source_of_(kernel.target_size(), kUnassigned) {}
+
+  size_t target_of(size_t s) const { return target_of_[s]; }
+  size_t source_of(size_t t) const { return source_of_[t]; }
+  double sum() const { return sum_; }
+
+  std::vector<MatchPair> Pairs() const {
+    std::vector<MatchPair> pairs;
+    for (size_t s = 0; s < target_of_.size(); ++s) {
+      if (target_of_[s] != kUnassigned) pairs.push_back({s, target_of_[s]});
+    }
+    return pairs;
+  }
+
+  void Assign(size_t s, size_t t) {
+    sum_ += GainOf(s, t);
+    target_of_[s] = t;
+    source_of_[t] = s;
+  }
+
+  void Unassign(size_t s) {
+    size_t t = target_of_[s];
+    target_of_[s] = kUnassigned;
+    source_of_[t] = kUnassigned;
+    sum_ -= GainOf(s, t);
+  }
+
+ private:
+  static constexpr size_t kUnassigned = ScoreState::kUnassigned;
+
+  double GainOf(size_t s, size_t t) {
+    others_.clear();
+    for (size_t s2 = 0; s2 < target_of_.size(); ++s2) {
+      if (s2 != s && target_of_[s2] != kUnassigned) {
+        others_.push_back({s2, target_of_[s2]});
+      }
+    }
+    return kernel_.GainOf(others_.data(), others_.size(), s, t);
+  }
+
+  const ScoreKernel& kernel_;
+  std::vector<size_t> target_of_;
+  std::vector<size_t> source_of_;
+  std::vector<MatchPair> others_;
+  double sum_ = 0.0;
+};
+
+Result<MatchResult> RecomputingAnnealingMatch(const DependencyGraph& source,
+                                              const DependencyGraph& target,
+                                              const MatchOptions& options,
+                                              const AnnealingParams& params) {
+  constexpr size_t kUnassigned = ScoreState::kUnassigned;
+  Metric metric(options.metric, options.alpha);
+  size_t n = source.size();
+  size_t m = target.size();
+  std::vector<std::vector<size_t>> candidates = ComputeEntropyCandidates(
+      source, target, options.candidates_per_attribute);
+  std::vector<MatchPair> start;
+  Result<MatchResult> greedy = GreedyMatch(source, target, options);
+  if (greedy.ok()) {
+    start = greedy->pairs;
+  } else if (greedy.status().code() == StatusCode::kNotFound) {
+    std::optional<std::vector<size_t>> feasible =
+        FindFeasibleAssignment(candidates, m);
+    if (!feasible.has_value()) return greedy.status();
+    for (size_t s = 0; s < n; ++s) start.push_back({s, (*feasible)[s]});
+  } else {
+    return greedy.status();
+  }
+  std::vector<char> allowed(n * m, 0);
+  for (size_t s = 0; s < n; ++s) {
+    for (size_t t : candidates[s]) allowed[s * m + t] = 1;
+  }
+  ScoreKernel kernel(source, target, metric);
+  bool partial = options.cardinality == Cardinality::kPartial;
+  bool maximize = metric.maximize();
+  auto better = [maximize](double candidate, double incumbent) {
+    return maximize ? candidate > incumbent : candidate < incumbent;
+  };
+
+  double winner_sum = 0.0;
+  std::vector<MatchPair> winner_pairs;
+  uint64_t moves_tried = 0;
+  for (size_t r = 0; r < std::max<size_t>(1, params.num_restarts); ++r) {
+    RecomputingState state(kernel);
+    for (const MatchPair& pair : start) state.Assign(pair.source, pair.target);
+    double best_sum = state.sum();
+    std::vector<MatchPair> best_pairs = state.Pairs();
+    Rng rng(params.seed + r);
+    for (double temperature = params.initial_temperature;
+         temperature > params.final_temperature;
+         temperature *= params.cooling_rate) {
+      for (size_t step = 0; step < params.moves_per_node * n; ++step) {
+        ++moves_tried;
+        size_t s1 = rng.NextBounded(n);
+        const std::vector<size_t>& cand = candidates[s1];
+        if (cand.empty()) continue;
+        size_t t_new = cand[rng.NextBounded(cand.size())];
+        size_t t_old = state.target_of(s1);
+        double before = state.sum();
+        std::vector<MatchPair> undo_assign;
+        std::vector<size_t> undo_unassign;
+        if (t_old == t_new) {
+          if (!partial) continue;
+          state.Unassign(s1);
+          undo_assign.push_back({s1, t_old});
+        } else if (state.source_of(t_new) == kUnassigned) {
+          if (t_old != kUnassigned) {
+            state.Unassign(s1);
+            undo_assign.push_back({s1, t_old});
+          }
+          state.Assign(s1, t_new);
+          undo_unassign.push_back(s1);
+        } else {
+          size_t s2 = state.source_of(t_new);
+          if (t_old == kUnassigned) {
+            if (!partial) continue;
+            state.Unassign(s2);
+            undo_assign.push_back({s2, t_new});
+            state.Assign(s1, t_new);
+            undo_unassign.push_back(s1);
+          } else {
+            if (!allowed[s2 * m + t_old]) continue;
+            state.Unassign(s1);
+            undo_assign.push_back({s1, t_old});
+            state.Unassign(s2);
+            undo_assign.push_back({s2, t_new});
+            state.Assign(s1, t_new);
+            undo_unassign.push_back(s1);
+            state.Assign(s2, t_old);
+            undo_unassign.push_back(s2);
+          }
+        }
+        double delta = state.sum() - before;
+        double improvement = maximize ? delta : -delta;
+        bool accept = improvement > 0.0 ||
+                      rng.NextDouble() < std::exp(improvement / temperature);
+        if (!accept) {
+          for (size_t i = undo_unassign.size(); i > 0; --i) {
+            state.Unassign(undo_unassign[i - 1]);
+          }
+          for (size_t i = undo_assign.size(); i > 0; --i) {
+            state.Assign(undo_assign[i - 1].source, undo_assign[i - 1].target);
+          }
+          continue;
+        }
+        if (better(state.sum(), best_sum)) {
+          best_sum = state.sum();
+          best_pairs = state.Pairs();
+        }
+      }
+    }
+    if (r == 0 || better(best_sum, winner_sum)) {
+      winner_sum = best_sum;
+      winner_pairs = best_pairs;
+    }
+  }
+
+  MatchResult result;
+  result.metric = options.metric;
+  result.pairs = std::move(winner_pairs);
+  std::sort(result.pairs.begin(), result.pairs.end());
+  result.metric_value = metric.Evaluate(source, target, result.pairs);
+  result.nodes_explored = moves_tried;
+  return result;
+}
+
+uint64_t Bits(double value) {
+  uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+// Rollback replay and the per-epoch move-gain cache must not change a
+// single bit of any result: pairs, metric_value and nodes_explored equal
+// the recomputing replica's across every metric kind, cardinality (the
+// partial toggle and steal moves included), entropy filter and restart
+// count.
+TEST(AnnealingMatchTest, BitIdenticalToRecomputingReplica) {
+  const MetricKind kinds[] = {
+      MetricKind::kMutualInfoEuclidean, MetricKind::kMutualInfoNormal,
+      MetricKind::kEntropyEuclidean, MetricKind::kEntropyNormal};
+  const Cardinality cardinalities[] = {
+      Cardinality::kOneToOne, Cardinality::kOnto, Cardinality::kPartial};
+  AnnealingParams params;
+  params.moves_per_node = 20;
+  uint64_t seed = 500;
+  for (MetricKind kind : kinds) {
+    for (Cardinality cardinality : cardinalities) {
+      ++seed;
+      size_t m = cardinality == Cardinality::kOneToOne ? 7 : 9;
+      DependencyGraph a = RandomGraph(7, seed);
+      DependencyGraph b = RandomGraph(m, seed + 1000);
+      for (size_t filter : {size_t{0}, size_t{3}}) {
+        for (size_t restarts : {size_t{1}, size_t{2}}) {
+          MatchOptions options = Options(cardinality, kind);
+          options.candidates_per_attribute = filter;
+          params.num_restarts = restarts;
+          auto expected = RecomputingAnnealingMatch(a, b, options, params);
+          auto actual = AnnealingMatch(a, b, options, params);
+          ASSERT_EQ(actual.ok(), expected.ok());
+          if (!expected.ok()) continue;
+          SCOPED_TRACE(testing::Message()
+                       << MetricKindToString(kind) << " "
+                       << CardinalityToString(cardinality) << " filter "
+                       << filter << " restarts " << restarts);
+          EXPECT_EQ(actual->pairs, expected->pairs);
+          EXPECT_EQ(Bits(actual->metric_value), Bits(expected->metric_value));
+          EXPECT_EQ(actual->nodes_explored, expected->nodes_explored);
+        }
+      }
+    }
   }
 }
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <tuple>
@@ -201,6 +202,98 @@ TEST_P(ScoreStateDeltaTest, DeltaSumMatchesFullRecomputation) {
   double full = metric.EvaluateSum(a, b, pairs);
   EXPECT_NEAR(state.sum(), full, 1e-6)
       << MetricKindToString(kind) << " drifted after 400 moves";
+}
+
+// The annealing matcher rolls a rejected move back by replaying the gains
+// its steps applied instead of recomputing them. That must leave sum()
+// bit-equal to a rollback that recomputes, move after move, so that every
+// later acceptance test reads the same double. Also pins ScoreState::GainOf
+// to ScoreKernel::GainOf over the assigned pairs in ascending source
+// order, on both the pair-term table and the flat rows.
+TEST_P(ScoreStateDeltaTest, ReplayedRollbackBitEqualToRecomputedRollback) {
+  auto [kind, cardinality, seed] = GetParam();
+  size_t n = 8;
+  size_t m = cardinality == Cardinality::kOneToOne ? 8 : 11;
+  DependencyGraph a = RandomGraph(n, seed);
+  DependencyGraph b = RandomGraph(m, seed + 500);
+  Metric metric(kind, 4.0);
+  bool partial = cardinality == Cardinality::kPartial;
+  for (size_t budget : {kDefaultPairTermBudget, size_t{0}}) {
+    ScoreKernel kernel(a, b, metric, budget);
+    ScoreState replay(kernel);
+    ScoreState recompute(kernel);
+    if (!partial) {
+      for (size_t s = 0; s < n; ++s) {
+        replay.Assign(s, s);
+        recompute.Assign(s, s);
+      }
+    }
+
+    Rng rng(seed + 91);
+    for (int move = 0; move < 400; ++move) {
+      size_t s = rng.NextBounded(n);
+      size_t t = rng.NextBounded(m);
+
+      std::vector<MatchPair> others;
+      replay.AppendPairs(&others);
+      others.erase(std::remove_if(others.begin(), others.end(),
+                                  [s](const MatchPair& p) {
+                                    return p.source == s;
+                                  }),
+                   others.end());
+      EXPECT_EQ(replay.GainOf(s, t),
+                kernel.GainOf(others.data(), others.size(), s, t));
+
+      // Steps as (source, target, assign), unassigns first.
+      std::vector<std::tuple<size_t, size_t, bool>> steps;
+      size_t t_old = replay.target_of(s);
+      if (t_old == ScoreState::kUnassigned) {
+        if (replay.target_used(t)) continue;
+        steps.push_back({s, t, true});
+      } else if (partial && rng.NextBernoulli(0.3)) {
+        steps.push_back({s, t_old, false});
+      } else if (!replay.target_used(t)) {
+        steps.push_back({s, t_old, false});
+        steps.push_back({s, t, true});
+      } else if (replay.source_of(t) != s) {
+        size_t s2 = replay.source_of(t);
+        steps.push_back({s, t_old, false});
+        steps.push_back({s2, t, false});
+        steps.push_back({s, t, true});
+        steps.push_back({s2, t_old, true});
+      } else {
+        continue;
+      }
+
+      std::vector<double> gains;
+      for (auto [src, tgt, assign] : steps) {
+        gains.push_back(assign ? replay.Assign(src, tgt)
+                               : replay.Unassign(src));
+        double g = assign ? recompute.Assign(src, tgt)
+                          : recompute.Unassign(src);
+        EXPECT_EQ(g, gains.back());
+      }
+      ASSERT_EQ(replay.sum(), recompute.sum());
+      if (rng.NextBernoulli(0.7)) {
+        for (size_t i = steps.size(); i > 0; --i) {
+          auto [src, tgt, assign] = steps[i - 1];
+          if (assign) {
+            replay.Unassign(src, gains[i - 1]);
+            recompute.Unassign(src);
+          } else {
+            replay.Assign(src, tgt, gains[i - 1]);
+            recompute.Assign(src, tgt);
+          }
+        }
+        ASSERT_EQ(replay.sum(), recompute.sum())
+            << MetricKindToString(kind) << " move " << move;
+      }
+    }
+    EXPECT_EQ(replay.assigned_count(), recompute.assigned_count());
+    for (size_t s = 0; s < n; ++s) {
+      EXPECT_EQ(replay.target_of(s), recompute.target_of(s));
+    }
+  }
 }
 
 std::string DeltaParamName(const testing::TestParamInfo<DeltaParam>& info) {
