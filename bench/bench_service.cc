@@ -294,11 +294,11 @@ LoadPhase RunLoadPhase(ServerHandle& server, size_t num_clients,
 
   auto t0 = std::chrono::steady_clock::now();
   {
-    // depmatch-lint: allow(raw-thread)
+    // depmatch-analyze: allow(raw-thread)
     std::vector<std::thread> threads;
     threads.reserve(num_clients);
     for (size_t c = 0; c < num_clients; ++c) {
-      // depmatch-lint: allow(raw-thread) — closed-loop load clients
+      // depmatch-analyze: allow(raw-thread) — closed-loop load clients
       // must be independent OS threads, each blocking on its own
       // connection.
       threads.emplace_back([&, c] {
@@ -328,7 +328,7 @@ LoadPhase RunLoadPhase(ServerHandle& server, size_t num_clients,
         }
       });
     }
-    // depmatch-lint: allow(raw-thread)
+    // depmatch-analyze: allow(raw-thread)
     for (std::thread& thread : threads) thread.join();
   }
   auto t1 = std::chrono::steady_clock::now();
@@ -408,11 +408,11 @@ OverloadReport RunOverloadPhase(size_t corpus_entries, size_t max_queue,
   };
   std::vector<SendOutcome> outcomes(senders);
   std::atomic<size_t> settled{0};
-  // depmatch-lint: allow(raw-thread)
+  // depmatch-analyze: allow(raw-thread)
   std::vector<std::thread> threads;
   threads.reserve(senders);
   for (size_t i = 0; i < senders; ++i) {
-    // depmatch-lint: allow(raw-thread) — each sender must block
+    // depmatch-analyze: allow(raw-thread) — each sender must block
     // independently to fill the admission queue.
     threads.emplace_back([&, i] {
       Result<ServiceClient> client =
@@ -450,7 +450,7 @@ OverloadReport RunOverloadPhase(size_t corpus_entries, size_t max_queue,
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   server.match_service().ResumeForTest();
-  // depmatch-lint: allow(raw-thread)
+  // depmatch-analyze: allow(raw-thread)
   for (std::thread& thread : threads) thread.join();
 
   for (const SendOutcome& outcome : outcomes) {
@@ -467,11 +467,11 @@ OverloadReport RunOverloadPhase(size_t corpus_entries, size_t max_queue,
   // kDeadlineExceeded, not late-served.
   server.match_service().PauseForTest();
   report.deadline_senders = 2;
-  // depmatch-lint: allow(raw-thread)
+  // depmatch-analyze: allow(raw-thread)
   std::vector<std::thread> deadline_threads;
   std::atomic<size_t> deadline_shed{0};
   for (size_t i = 0; i < report.deadline_senders; ++i) {
-    // depmatch-lint: allow(raw-thread) — see above.
+    // depmatch-analyze: allow(raw-thread) — see above.
     deadline_threads.emplace_back([&] {
       Result<ServiceClient> client =
           ServiceClient::Connect(server.socket_path);
@@ -488,7 +488,7 @@ OverloadReport RunOverloadPhase(size_t corpus_entries, size_t max_queue,
   // Out-wait the deadline before releasing the workers.
   std::this_thread::sleep_for(std::chrono::milliseconds(120));
   server.match_service().ResumeForTest();
-  // depmatch-lint: allow(raw-thread)
+  // depmatch-analyze: allow(raw-thread)
   for (std::thread& thread : deadline_threads) thread.join();
   report.deadline_shed = deadline_shed.load();
 

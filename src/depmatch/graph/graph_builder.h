@@ -5,14 +5,16 @@
 // mutual information over all attribute pairs of a table and assembles
 // the dependency graph.
 //
-// The O(n^2) pairwise phase runs on the joint-count kernels of
-// stats/joint_kernel.h: each pair is counted densely (flat matrix) when
-// (distinct_x + 1) * (distinct_y + 1) fits options.stats.dense_cell_budget
-// and sparsely (hash map) otherwise, each column's marginal histogram and
-// entropy are computed once and shared across all pairs, and each worker
-// thread reuses one kernel's scratch across its pairs. Both kernels emit
+// There is one build path: the Table overload encodes the table once
+// (EncodedTableView::FromTable) and runs the view overload. Each column's
+// marginal histogram and entropy are computed once and shared across all
+// pairs; the O(n^2) pairwise phase runs on the exact joint-count kernel of
+// stats/joint_kernel.h, which counts a pair densely when
+// (distinct_x + 1) * (distinct_y + 1) fits the effective cell budget
+// (histogram.h) and with a packed radix sort otherwise, each worker thread
+// reusing one kernel's scratch across its pairs. Every strategy emits
 // counts in a canonical order, so the resulting graph is bit-identical
-// across kernel choices and thread counts. docs/performance.md describes
+// across strategy choices and thread counts. docs/performance.md describes
 // the selection rule and how to tune the budget.
 
 #ifndef DEPMATCH_GRAPH_GRAPH_BUILDER_H_
@@ -43,7 +45,7 @@ enum class DependencyMeasure {
 
 struct DependencyGraphOptions {
   // Null handling plus the dense-kernel cell budget (stats.dense_cell_budget;
-  // 0 forces the sparse hash-map path for every pair).
+  // 0 forces the sparse path for every pair).
   StatsOptions stats;
   // Worker threads for the O(n^2) MI computation; 1 = serial. The result
   // is identical for every thread count.
@@ -54,15 +56,16 @@ struct DependencyGraphOptions {
 // One pairwise edge value from a counting result plus the two column
 // marginals (the per-pair retained marginals take over when the counting
 // pass filled them; see JointCounts::has_marginals). This is THE edge
-// fold: both cold build overloads below and graph/incremental_builder.h
-// call it, which is what makes an incremental refresh bit-identical to a
-// cold rebuild — identical counts fed through identical folds.
+// fold: the cold build below and graph/incremental_builder.h call it,
+// which is what makes an incremental refresh bit-identical to a cold
+// rebuild — identical counts fed through identical folds.
 double DependencyEdgeValue(DependencyMeasure measure, const JointCounts& joint,
                            const ColumnMarginal& mx, const ColumnMarginal& my);
 
 // Builds the dependency graph of `table`: m[i][j] = MI(a_i; a_j), with the
 // diagonal m[i][i] = H(a_i) (self-information). Deterministic for a given
-// table and options.
+// table and options. Exactly the view overload on
+// EncodedTableView::FromTable(table), with no cache.
 Result<DependencyGraph> BuildDependencyGraph(
     const Table& table, const DependencyGraphOptions& options = {});
 
@@ -75,11 +78,10 @@ Result<DependencyGraph> BuildDependencyGraph(
 // across builds (same selection, policy, measure) skips the joint count
 // entirely.
 //
-// Bit-identical contract: a view with no row selection yields exactly
-// BuildDependencyGraph(table) on the snapshotted table; a view with a row
-// selection yields exactly the graph of the SelectRows-materialized table
-// (first-appearance remap, see table/encoded_column.h). Cached and cold
-// builds are identical by construction.
+// Bit-identical contract: a view with a row selection yields exactly the
+// graph of the SelectRows-materialized table (first-appearance remap, see
+// table/encoded_column.h). Cached and cold builds are identical by
+// construction.
 Result<DependencyGraph> BuildDependencyGraph(
     const EncodedTableView& view, const DependencyGraphOptions& options = {},
     StatCache* cache = nullptr);

@@ -6,6 +6,8 @@
 // accumulation (std::reduce, atomic floating adds, OpenMP reductions).
 #include "depmatch/graph/graph_io.h"
 
+#include <unistd.h>
+
 #include <bit>
 #include <cstdio>
 
@@ -110,14 +112,26 @@ Status ReadFileToString(const std::string& path, std::string* out) {
 }
 
 Status WriteStringToFile(const std::string& path, std::string_view data) {
-  std::FILE* file = std::fopen(path.c_str(), "wb");
+  // Write a sibling temp file, push it to stable storage, then rename it
+  // over `path`: a crash at any point leaves the previous file or the
+  // complete new one, never a torn mix.
+  const std::string tmp = path + ".tmp";
+  std::FILE* file = std::fopen(tmp.c_str(), "wb");
   if (file == nullptr) {
-    return NotFoundError(StrFormat("cannot open %s for writing", path.c_str()));
+    return NotFoundError(StrFormat("cannot open %s for writing", tmp.c_str()));
   }
-  size_t written = std::fwrite(data.data(), 1, data.size(), file);
-  bool failed = std::fclose(file) != 0 || written != data.size();
-  if (failed) {
-    return InternalError(StrFormat("short write to %s", path.c_str()));
+  bool ok = std::fwrite(data.data(), 1, data.size(), file) == data.size();
+  ok = std::fflush(file) == 0 && ok;
+  ok = ::fsync(::fileno(file)) == 0 && ok;
+  ok = std::fclose(file) == 0 && ok;
+  if (!ok) {
+    std::remove(tmp.c_str());
+    return InternalError(StrFormat("short write to %s", tmp.c_str()));
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return InternalError(
+        StrFormat("cannot rename %s to %s", tmp.c_str(), path.c_str()));
   }
   return OkStatus();
 }

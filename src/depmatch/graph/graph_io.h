@@ -69,6 +69,9 @@ uint32_t Crc32(std::string_view bytes);
 // Binary whole-file I/O with Status-based error reporting (NotFound for
 // an unopenable path, Internal for short writes/reads).
 Status ReadFileToString(const std::string& path, std::string* out);
+// Crash-atomic: writes `path + ".tmp"`, fsyncs it and renames it over
+// `path`. On any failure the temp file is removed and `path` keeps its
+// previous contents.
 Status WriteStringToFile(const std::string& path, std::string_view data);
 
 }  // namespace graphio

@@ -105,7 +105,7 @@ Status ServiceServer::Start() {
     stopping_ = false;
     listen_fd_ = fd;
   }
-  // depmatch-lint: allow(raw-thread) — the accept loop blocks in
+  // depmatch-analyze: allow(raw-thread) — the accept loop blocks in
   // accept(2) for the server's lifetime (see the header).
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   return OkStatus();
@@ -130,14 +130,14 @@ void ServiceServer::Stop() {
 
   // With the accept thread gone, no new connections appear. Unblock
   // every reader and join them outside the lock.
-  // depmatch-lint: allow(raw-thread)
+  // depmatch-analyze: allow(raw-thread)
   std::vector<std::thread> readers;
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (int fd : connection_fds_) shutdown(fd, SHUT_RDWR);
     readers.swap(connection_threads_);
   }
-  // depmatch-lint: allow(raw-thread)
+  // depmatch-analyze: allow(raw-thread)
   for (std::thread& reader : readers) {
     if (reader.joinable()) reader.join();
   }
@@ -175,7 +175,7 @@ void ServiceServer::AcceptLoop() {
       return;
     }
     connection_fds_.push_back(fd);
-    // depmatch-lint: allow(raw-thread) — one blocking reader per
+    // depmatch-analyze: allow(raw-thread) — one blocking reader per
     // connection (see the header).
     // depmatch-analyze: allow(lock-discipline) — ServeConnection
     // (EXCLUDES(mu_)) is only named here; it executes on the thread

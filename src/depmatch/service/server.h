@@ -84,12 +84,12 @@ class ServiceServer {
   std::vector<int> connection_fds_ DEPMATCH_GUARDED_BY(mu_);
   // Reader threads, one per connection (Stop() swaps the vector out
   // under the lock and joins outside it).
-  // depmatch-lint: allow(raw-thread) — one blocking reader per
+  // depmatch-analyze: allow(raw-thread) — one blocking reader per
   // connection; pool tasks must not block on socket reads.
   std::vector<std::thread> connection_threads_ DEPMATCH_GUARDED_BY(mu_);
   // depmatch-analyze: allow(lock-annotation) — started by Start(),
   // joined by Stop(); never touched concurrently.
-  // depmatch-lint: allow(raw-thread) — the accept loop blocks in
+  // depmatch-analyze: allow(raw-thread) — the accept loop blocks in
   // accept(2) for the server's lifetime.
   std::thread accept_thread_;
 };

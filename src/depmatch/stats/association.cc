@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "depmatch/stats/joint_kernel.h"
-#include "depmatch/stats/joint_sketch.h"
 
 namespace depmatch {
 namespace {
@@ -44,10 +43,6 @@ double ChiSquareStatistic(const Column& x, const Column& y,
   //         = sum_observed (o^2/e - 2o + e) + N - sum_observed e
   //         = sum_observed o^2/e - 2N + N = sum_observed o^2/e - N.
   // The fold itself lives in ChiSquareFromCounts (joint_kernel.h).
-  if (UseSketch(x, y, options)) {
-    JointSketchKernel kernel;
-    return kernel.Estimate(x, y, options).chi_square;
-  }
   JointCountKernel kernel;
   const JointCounts& joint = kernel.Count(x, y, options);
   if (joint.total == 0) return 0.0;
@@ -57,24 +52,6 @@ double ChiSquareStatistic(const Column& x, const Column& y,
 
 double CramersV(const Column& x, const Column& y,
                 const StatsOptions& options) {
-  if (UseSketch(x, y, options)) {
-    JointSketchKernel kernel;
-    const SketchedJoint& sketched = kernel.Estimate(x, y, options);
-    if (sketched.total == 0) return 0.0;
-    NullPolicy policy = options.null_policy;
-    size_t support_x =
-        sketched.has_marginals
-            ? SupportFromSlots(sketched.x_marginals)
-            : ComputeColumnMarginal(x, policy).support;
-    size_t support_y =
-        sketched.has_marginals
-            ? SupportFromSlots(sketched.y_marginals)
-            : ComputeColumnMarginal(y, policy).support;
-    if (support_x < 2 || support_y < 2) return 0.0;
-    double denom = static_cast<double>(sketched.total) *
-                   static_cast<double>(std::min(support_x, support_y) - 1);
-    return std::min(std::sqrt(sketched.chi_square / denom), 1.0);
-  }
   // One counting pass serves both the chi-square fold and the level
   // counts.
   JointCountKernel kernel;

@@ -444,11 +444,6 @@ void TableCountState::ReshapePairs() {
 
 Result<TableCountState> TableCountState::FromTable(
     const Table& table, const CountStateOptions& options) {
-  if (options.stats.sketch_mode != SketchMode::kOff) {
-    return InvalidArgumentError(
-        "TableCountState requires exact counts; sketched estimates are not "
-        "mergeable (set stats.sketch_mode = kOff)");
-  }
   TableCountState state;
   state.schema_ = table.schema();
   state.options_ = options;

@@ -44,12 +44,12 @@
 //     retained rows to the pair, or a column's null count made the
 //     0 -> >0 transition that flips the pair onto per-pair marginals.
 //
-// Representation mirrors the PR 7 dispatcher split: small pairs keep a
-// dense flat matrix (O(1) cell updates), large ones a packed-sparse
-// sorted (x_slot << 32 | y_slot) key array. Sparse batches land in a
-// small sorted overlay (O(batch) per Append) that is compacted into the
-// base array only once it outgrows a fraction of it, keeping Append
-// amortized O(delta), never O(state). The choice is per pair,
+// Representation mirrors the joint kernel's dense/sparse split: small
+// pairs keep a dense flat matrix (O(1) cell updates), large ones a
+// packed-sparse sorted (x_slot << 32 | y_slot) key array. Sparse batches
+// land in a small sorted overlay (O(batch) per Append) that is compacted
+// into the base array only once it outgrows a fraction of it, keeping
+// Append amortized O(delta), never O(state). The choice is per pair,
 // re-evaluated as dictionaries grow, and never affects emitted values:
 // emission walks base and overlay as one ordered merge.
 //
@@ -75,9 +75,7 @@
 namespace depmatch {
 
 struct CountStateOptions {
-  // Null policy and kernel knobs for the per-batch counting passes. The
-  // sketch tier is rejected (sketched estimates are not mergeable
-  // counts); see TableCountState::FromTable.
+  // Null policy and dense budget for the per-batch counting passes.
   StatsOptions stats;
   // Worker threads for the O(n^2) per-pair passes; results are
   // identical at any value.
@@ -308,8 +306,6 @@ class TableCountState {
 
   // Cold build: one counting pass over `table` (columns serial, pairs
   // fanned across options.num_threads). Everything starts dirty.
-  // Fails with InvalidArgument when options.stats.sketch_mode is not
-  // kOff: sketched estimates are not mergeable counts.
   static Result<TableCountState> FromTable(const Table& table,
                                            const CountStateOptions& options);
 

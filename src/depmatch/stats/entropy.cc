@@ -5,7 +5,6 @@
 #include <cstdint>
 
 #include "depmatch/stats/joint_kernel.h"
-#include "depmatch/stats/joint_sketch.h"
 
 namespace depmatch {
 namespace {
@@ -19,18 +18,6 @@ std::pair<double, double> MarginalEntropies(const JointCounts& joint,
   if (joint.has_marginals) {
     return {EntropyFromSlots(joint.x_marginals, joint.total),
             EntropyFromSlots(joint.y_marginals, joint.total)};
-  }
-  return {ComputeColumnMarginal(x, policy).entropy,
-          ComputeColumnMarginal(y, policy).entropy};
-}
-
-// Same, for a sketched pair (marginals stay exact either way).
-std::pair<double, double> MarginalEntropies(const SketchedJoint& sketched,
-                                            const Column& x, const Column& y,
-                                            NullPolicy policy) {
-  if (sketched.has_marginals) {
-    return {EntropyFromSlots(sketched.x_marginals, sketched.total),
-            EntropyFromSlots(sketched.y_marginals, sketched.total)};
   }
   return {ComputeColumnMarginal(x, policy).entropy,
           ComputeColumnMarginal(y, policy).entropy};
@@ -59,27 +46,12 @@ double EntropyOf(const Column& x, const StatsOptions& options) {
 
 double JointEntropy(const Column& x, const Column& y,
                     const StatsOptions& options) {
-  if (UseSketch(x, y, options)) {
-    JointSketchKernel kernel;
-    return kernel.Estimate(x, y, options).joint_entropy;
-  }
   JointCountKernel kernel;
   return JointEntropyFromCells(kernel.Count(x, y, options));
 }
 
 double MutualInformation(const Column& x, const Column& y,
                          const StatsOptions& options) {
-  if (UseSketch(x, y, options)) {
-    JointSketchKernel kernel;
-    const SketchedJoint& sketched = kernel.Estimate(x, y, options);
-    if (sketched.total == 0) return 0.0;
-    auto [hx, hy] = MarginalEntropies(sketched, x, y, options.null_policy);
-    // The sketch under-estimates H(X,Y), so clamp MI_hat into the exact
-    // quantity's feasible range [0, min(H(X), H(Y))].
-    double mi = hx + hy - sketched.joint_entropy;
-    if (mi < 0.0) mi = 0.0;
-    return std::min(mi, std::min(hx, hy));
-  }
   JointCountKernel kernel;
   const JointCounts& joint = kernel.Count(x, y, options);
   if (joint.total == 0) return 0.0;
@@ -90,17 +62,6 @@ double MutualInformation(const Column& x, const Column& y,
 
 double ConditionalEntropy(const Column& x, const Column& y,
                           const StatsOptions& options) {
-  if (UseSketch(x, y, options)) {
-    JointSketchKernel kernel;
-    const SketchedJoint& sketched = kernel.Estimate(x, y, options);
-    if (sketched.total == 0) return 0.0;
-    double hy =
-        sketched.has_marginals
-            ? EntropyFromSlots(sketched.y_marginals, sketched.total)
-            : ComputeColumnMarginal(y, options.null_policy).entropy;
-    double cond = sketched.joint_entropy - hy;
-    return cond < 0.0 ? 0.0 : cond;
-  }
   JointCountKernel kernel;
   const JointCounts& joint = kernel.Count(x, y, options);
   if (joint.total == 0) return 0.0;
@@ -113,18 +74,6 @@ double ConditionalEntropy(const Column& x, const Column& y,
 
 double NormalizedMutualInformation(const Column& x, const Column& y,
                                    const StatsOptions& options) {
-  if (UseSketch(x, y, options)) {
-    JointSketchKernel kernel;
-    const SketchedJoint& sketched = kernel.Estimate(x, y, options);
-    if (sketched.total == 0) return 0.0;
-    auto [hx, hy] = MarginalEntropies(sketched, x, y, options.null_policy);
-    double denom = std::max(hx, hy);
-    if (denom <= 0.0) return 0.0;
-    double mi = hx + hy - sketched.joint_entropy;
-    if (mi < 0.0) mi = 0.0;
-    mi = std::min(mi, std::min(hx, hy));
-    return std::min(mi / denom, 1.0);
-  }
   JointCountKernel kernel;
   const JointCounts& joint = kernel.Count(x, y, options);
   if (joint.total == 0) return 0.0;

@@ -3,7 +3,7 @@
 // sum in this file accumulates in a fixed, thread-independent order.
 // Do not introduce constructs that reorder double accumulation
 // (std::reduce, atomic floating adds, OpenMP reductions); the
-// depmatch_lint bit-identical rule and the tsan_stress tests enforce
+// depmatch_analyze bit-identical rule and the tsan_stress tests enforce
 // and exercise this contract.
 #include "depmatch/stats/joint_kernel.h"
 
@@ -30,7 +30,7 @@ struct SpanSlots {
   uint32_t operator()(size_t r) const { return slots[r]; }
 };
 
-// Strategy thresholds for JointKernelDispatch::kAuto.
+// Strategy thresholds (see the strategy list in joint_kernel.h).
 //
 // Lane count: compile-time, matched to the widest vector unit the build
 // targets so the merge pass (a strided integer reduction) fills whole
@@ -48,8 +48,8 @@ inline constexpr size_t kSortStrategyMinCells = size_t{1} << 17;
 
 // The cell budget the dense/sparse crossover compares against; the
 // authoritative statement of the rule (static budget, auto-raise shape
-// allowance, budget-0 semantics, sketch interaction) is the crossover
-// comment block in histogram.h.
+// allowance, budget-0 semantics) is the crossover comment block in
+// histogram.h.
 size_t EffectiveDenseBudget(size_t rows, const StatsOptions& options) {
   size_t budget = options.dense_cell_budget;
   if (budget == 0 || !options.auto_dense_budget) return budget;
@@ -101,12 +101,6 @@ ColumnMarginal ComputeColumnMarginal(const CodeView& codes,
   return m;
 }
 
-bool JointCountKernel::UseDense(const Column& x, const Column& y,
-                                const StatsOptions& options) {
-  return UseDenseForShape(x.distinct_count() + 1, y.distinct_count() + 1,
-                          x.size(), options);
-}
-
 bool JointCountKernel::UseDense(const CodeView& x, const CodeView& y,
                                 const StatsOptions& options) {
   return UseDenseForShape(x.num_slots, y.num_slots, x.size, options);
@@ -115,31 +109,16 @@ bool JointCountKernel::UseDense(const CodeView& x, const CodeView& y,
 const JointCounts& JointCountKernel::Count(const Column& x, const Column& y,
                                            const StatsOptions& options) {
   DEPMATCH_CHECK_EQ(x.size(), y.size());
-  counts_.total = 0;
-  counts_.cell_x_slots.clear();
-  counts_.cell_y_slots.clear();
-  counts_.cell_counts.clear();
-  counts_.has_marginals = false;
-  counts_.x_marginals.clear();
-  counts_.y_marginals.clear();
-
-  counts_.used_dense = UseDense(x, y, options);
-  ColumnSlots xs{x.codes().data()};
-  ColumnSlots ys{y.codes().data()};
-  if (counts_.used_dense) {
-    CountDense(xs, ys, x.size(), x.distinct_count() + 1,
-               y.distinct_count() + 1, options);
-  } else {
-    CountSparse(xs, ys, x.size(), options);
-  }
-
-  // The retained-row set depends on the pair only under kDropNulls with
-  // nulls actually present; only then are per-pair marginals meaningful
-  // (otherwise each column's pair-invariant ColumnMarginal applies).
-  if (options.null_policy == NullPolicy::kDropNulls &&
-      (x.null_count() > 0 || y.null_count() > 0)) {
-    FillMarginals(x.distinct_count() + 1, y.distinct_count() + 1);
-  }
+  // Shape-only views: the crossover and marginal rules read sizes, slot
+  // counts and null counts, never the slots themselves.
+  CodeView x_shape{nullptr, x.size(),
+                   static_cast<uint32_t>(x.distinct_count() + 1),
+                   x.null_count()};
+  CodeView y_shape{nullptr, y.size(),
+                   static_cast<uint32_t>(y.distinct_count() + 1),
+                   y.null_count()};
+  CountPair(ColumnSlots{x.codes().data()}, ColumnSlots{y.codes().data()},
+            x_shape, y_shape, options);
   return counts_;
 }
 
@@ -147,6 +126,16 @@ const JointCounts& JointCountKernel::Count(const CodeView& x,
                                            const CodeView& y,
                                            const StatsOptions& options) {
   DEPMATCH_CHECK_EQ(x.size, y.size);
+  CountPair(SpanSlots{x.slots}, SpanSlots{y.slots}, x, y, options);
+  return counts_;
+}
+
+template <typename SlotOfX, typename SlotOfY>
+void JointCountKernel::CountPair(SlotOfX x_slot, SlotOfY y_slot,
+                                 const CodeView& x_shape,
+                                 const CodeView& y_shape,
+                                 const StatsOptions& options) {
+  const size_t rows = x_shape.size;
   counts_.total = 0;
   counts_.cell_x_slots.clear();
   counts_.cell_y_slots.clear();
@@ -155,45 +144,44 @@ const JointCounts& JointCountKernel::Count(const CodeView& x,
   counts_.x_marginals.clear();
   counts_.y_marginals.clear();
 
-  counts_.used_dense = UseDense(x, y, options);
-  SpanSlots xs{x.slots};
-  SpanSlots ys{y.slots};
+  const bool drop = (options.null_policy == NullPolicy::kDropNulls);
+  counts_.used_dense = UseDense(x_shape, y_shape, options);
   if (counts_.used_dense) {
-    CountDense(xs, ys, x.size, x.num_slots, y.num_slots, options);
+    CountDense(x_slot, y_slot, rows, x_shape.num_slots, y_shape.num_slots,
+               drop);
   } else {
-    CountSparse(xs, ys, x.size, options);
+    CountSparse(x_slot, y_slot, rows, drop);
   }
 
-  if (options.null_policy == NullPolicy::kDropNulls &&
-      (x.null_count > 0 || y.null_count > 0)) {
-    FillMarginals(x.num_slots, y.num_slots);
+  // The retained-row set depends on the pair only under kDropNulls with
+  // nulls actually present; only then are per-pair marginals meaningful
+  // (otherwise each column's pair-invariant ColumnMarginal applies).
+  if (drop && (x_shape.null_count > 0 || y_shape.null_count > 0)) {
+    FillMarginals(x_shape.num_slots, y_shape.num_slots);
   }
-  return counts_;
 }
 
 template <typename SlotOfX, typename SlotOfY>
 void JointCountKernel::CountDense(SlotOfX x_slot, SlotOfY y_slot,
                                   size_t rows, size_t dx1, size_t dy1,
-                                  const StatsOptions& options) {
+                                  bool drop) {
   const size_t cells = dx1 * dy1;
-  const bool drop = (options.null_policy == NullPolicy::kDropNulls);
-  const bool scalar = (options.dispatch == JointKernelDispatch::kScalar);
 
-  // Strategy choice depends only on the pair's shape and the dispatch
-  // option — never on thread count or data values — so it is
-  // deterministic, and every strategy emits identical cells anyway.
+  // Strategy choice depends only on the pair's shape — never on thread
+  // count or data values — so it is deterministic, and every strategy
+  // emits identical cells anyway.
   if (cells <= rows) {
     // Row-dominated matrix: branch-free increments, whole-matrix
     // compaction scan. Lane-splitting needs per-cell counts to fit the
     // uint32 lane counters, which rows bounds.
-    if (!scalar && rows < UINT32_MAX) {
+    if (rows < UINT32_MAX) {
       CountDenseLanes(x_slot, y_slot, rows, dy1, cells, drop);
     } else {
       CountDenseScan(x_slot, y_slot, rows, dy1, cells, drop);
     }
     return;
   }
-  if (!scalar && cells >= kSortStrategyMinCells) {
+  if (cells >= kSortStrategyMinCells) {
     CountDenseSorted(x_slot, y_slot, rows, dy1, drop);
     return;
   }
@@ -339,56 +327,10 @@ void JointCountKernel::CountDenseSorted(SlotOfX x_slot, SlotOfY y_slot,
 
 template <typename SlotOfX, typename SlotOfY>
 void JointCountKernel::CountSparse(SlotOfX x_slot, SlotOfY y_slot,
-                                   size_t rows, const StatsOptions& options) {
-  const bool drop = (options.null_policy == NullPolicy::kDropNulls);
-  if (options.dispatch == JointKernelDispatch::kScalar) {
-    CountSparseHash(x_slot, y_slot, rows, drop);
-  } else {
-    CountSparsePacked(x_slot, y_slot, rows, drop);
-  }
-}
-
-template <typename SlotOfX, typename SlotOfY>
-void JointCountKernel::CountSparseHash(SlotOfX x_slot, SlotOfY y_slot,
-                                       size_t rows, bool drop) {
-  sparse_.clear();
-  for (size_t r = 0; r < rows; ++r) {
-    uint32_t sx = x_slot(r);
-    uint32_t sy = y_slot(r);
-    if (drop && (sx == 0 || sy == 0)) continue;
-    // Same packing as JointHistogram::PackCodes(code_x, code_y): slot in
-    // the high word, slot in the low word.
-    ++sparse_[(static_cast<uint64_t>(sx) << 32) | sy];
-    ++counts_.total;
-  }
-
-  // Packed keys sort exactly like (x_slot, y_slot) pairs, so sorting them
-  // yields the same canonical cell order the dense kernel produces.
-  sparse_keys_.clear();
-  sparse_keys_.reserve(sparse_.size());
-  // depmatch-analyze: allow(det-unordered-iter) — only keys are taken,
-  // and they are sorted on the next line; hash order never reaches the
-  // output.
-  for (const auto& [key, count] : sparse_) sparse_keys_.push_back(key);
-  std::sort(sparse_keys_.begin(), sparse_keys_.end());
-  counts_.cell_x_slots.reserve(sparse_keys_.size());
-  counts_.cell_y_slots.reserve(sparse_keys_.size());
-  counts_.cell_counts.reserve(sparse_keys_.size());
-  for (uint64_t key : sparse_keys_) {
-    counts_.cell_x_slots.push_back(static_cast<uint32_t>(key >> 32));
-    counts_.cell_y_slots.push_back(
-        static_cast<uint32_t>(key & 0xffffffffULL));
-    counts_.cell_counts.push_back(sparse_.find(key)->second);
-  }
-}
-
-template <typename SlotOfX, typename SlotOfY>
-void JointCountKernel::CountSparsePacked(SlotOfX x_slot, SlotOfY y_slot,
-                                         size_t rows, bool drop) {
-  // The hash map's packed (x_slot << 32 | y_slot) keys already sort in
-  // the canonical cell order, so the sort-based strategy applies to the
-  // sparse tier verbatim: pack, radix-sort, run-length encode. No hashing
-  // per row, no rehash growth, and the same exact output.
+                                   size_t rows, bool drop) {
+  // Packed (x_slot << 32 | y_slot) keys sort in the canonical cell order,
+  // so the sort-based strategy applies to the sparse tier verbatim: pack,
+  // radix-sort, run-length encode. No per-row hashing and no matrix.
   keys_.clear();
   keys_.reserve(rows);
   for (size_t r = 0; r < rows; ++r) {

@@ -5,18 +5,19 @@
 //
 // Every pairwise statistic (MI, NMI, chi-square / Cramér's V) is a fold
 // over the joint count table of two dictionary-encoded columns. This module
-// provides two interchangeable counting kernels plus the deterministic
-// folds:
+// provides the exact counting kernel plus the deterministic folds. The
+// kernel picks one strategy per pair from the pair's shape alone (never
+// from thread count, data values or an option):
 //
 //   * Dense: chosen when the (distinct_x + 1) x (distinct_y + 1) matrix
 //     fits the effective cell budget (the authoritative crossover rule
-//     lives in histogram.h). Three SIMD-friendly strategies, selected by
-//     matrix shape under JointKernelDispatch::kAuto:
+//     lives in histogram.h). Three strategies by matrix size:
 //       - lane-split: for matrices no bigger than the row count, the row
 //         loop is unrolled over independent per-lane sub-histograms that
 //         are merged (and re-zeroed) in one vectorizable pass per pair,
 //         breaking the store-to-load dependency chains skewed data causes
-//         in a single histogram;
+//         in a single histogram (a single-histogram scan covers the
+//         rows >= UINT32_MAX case the uint32 lane counters cannot);
 //       - touched-scatter: mid-size matrices keep the classic one
 //         increment per row into a flat matrix, compacting and resetting
 //         only the touched cells;
@@ -24,24 +25,19 @@
 //         by packing each row into a flat cell index, radix-sorting the
 //         packed keys, and run-length encoding — pure streaming passes,
 //         and the matrix itself is never allocated.
-//   * Sparse: fallback for pairs whose product exceeds the budget. Under
-//     kAuto this also runs the radix-sort strategy (on 64-bit packed
-//     keys); kScalar keeps the classic hash map of packed code pairs.
+//   * Sparse: fallback for pairs whose product exceeds the budget; runs
+//     the same radix-sort strategy on 64-bit packed (x_slot, y_slot) keys.
 //
-// All kernels and strategies emit cells in row-major (x_code, y_code)
-// order with the null slot first, so every downstream floating-point fold
-// visits cells in the same order regardless of which path ran: counts are
-// integers and the fold order is canonical, so every path is bit-identical
-// to every other, which the equivalence tests assert with exact equality.
-// JointKernelDispatch::kScalar pins the legacy single-lane loops as the
-// reference implementation for those tests.
+// All strategies emit cells in row-major (x_code, y_code) order with the
+// null slot first, so every downstream floating-point fold visits cells in
+// the same order regardless of which path ran: counts are integers and the
+// fold order is canonical, so every path is bit-identical to every other.
+// The tests assert this with exact equality against the independent
+// JointHistogram::FromColumns oracle (histogram.h).
 //
 // A JointCountKernel instance owns reusable scratch and is meant to live
 // per worker thread (the graph builder allocates O(threads) kernels, not
-// O(pairs) hash maps).
-//
-// The opt-in approximate tier for over-budget pairs (StatsOptions::
-// sketch_mode) lives in joint_sketch.h; this file is exact-only.
+// O(pairs) scratch buffers).
 
 #ifndef DEPMATCH_STATS_JOINT_KERNEL_H_
 #define DEPMATCH_STATS_JOINT_KERNEL_H_
@@ -49,7 +45,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "depmatch/stats/histogram.h"
@@ -120,9 +115,7 @@ class JointCountKernel {
   // The crossover uses the measured dictionary sizes against the effective
   // cell budget: dense_cell_budget, raised (when auto_dense_budget is on)
   // to min(rows * kDenseAutoCellsPerRow, kDenseAutoMaxCells). Budget 0
-  // always forces the sparse path.
-  static bool UseDense(const Column& x, const Column& y,
-                       const StatsOptions& options);
+  // always forces the sparse path. Only the views' shapes are read.
   static bool UseDense(const CodeView& x, const CodeView& y,
                        const StatsOptions& options);
 
@@ -138,21 +131,22 @@ class JointCountKernel {
  private:
   // Counting loops are generic over the per-row slot source (a callable
   // r -> slot) so the Column and CodeView entry points share one body and
-  // therefore one accumulation order. CountDense/CountSparse pick a
-  // strategy (below) from the matrix shape and options.dispatch; every
-  // strategy emits the same canonical cells.
+  // therefore one accumulation order. CountPair reads sizes, slot counts
+  // and null counts from the shape views (never their slots); CountDense
+  // picks a dense strategy (below) from the matrix shape. Every strategy
+  // emits the same canonical cells.
+  template <typename SlotOfX, typename SlotOfY>
+  void CountPair(SlotOfX x_slot, SlotOfY y_slot, const CodeView& x_shape,
+                 const CodeView& y_shape, const StatsOptions& options);
   template <typename SlotOfX, typename SlotOfY>
   void CountDense(SlotOfX x_slot, SlotOfY y_slot, size_t rows, size_t dx1,
-                  size_t dy1, const StatsOptions& options);
-  template <typename SlotOfX, typename SlotOfY>
-  void CountSparse(SlotOfX x_slot, SlotOfY y_slot, size_t rows,
-                   const StatsOptions& options);
+                  size_t dy1, bool drop);
 
   // Dense strategies. Scan = branch-free increments + whole-matrix
-  // compaction scan (cells <= rows); Lanes = the same shape with the row
-  // loop split over independent sub-histograms merged once; Touched =
-  // scatter with touched-cell tracking; Sorted = pack/radix-sort/RLE with
-  // no matrix at all.
+  // compaction scan (cells <= rows, rows >= UINT32_MAX); Lanes = the same
+  // shape with the row loop split over independent sub-histograms merged
+  // once; Touched = scatter with touched-cell tracking; Sorted =
+  // pack/radix-sort/RLE with no matrix at all.
   template <typename SlotOfX, typename SlotOfY>
   void CountDenseScan(SlotOfX x_slot, SlotOfY y_slot, size_t rows,
                       size_t dy1, size_t cells, bool drop);
@@ -166,14 +160,10 @@ class JointCountKernel {
   void CountDenseSorted(SlotOfX x_slot, SlotOfY y_slot, size_t rows,
                         size_t dy1, bool drop);
 
-  // Sparse strategies: the classic hash map (kScalar) and the radix sort
-  // over 64-bit packed (x_slot << 32 | y_slot) keys (kAuto).
+  // Sparse strategy: radix sort over 64-bit packed
+  // (x_slot << 32 | y_slot) keys.
   template <typename SlotOfX, typename SlotOfY>
-  void CountSparseHash(SlotOfX x_slot, SlotOfY y_slot, size_t rows,
-                       bool drop);
-  template <typename SlotOfX, typename SlotOfY>
-  void CountSparsePacked(SlotOfX x_slot, SlotOfY y_slot, size_t rows,
-                         bool drop);
+  void CountSparse(SlotOfX x_slot, SlotOfY y_slot, size_t rows, bool drop);
 
   // Ascending radix sort of keys_ (LSD, byte digits, ping-pong via
   // keys_tmp_); sorts only the bytes covered by max_key.
@@ -192,9 +182,6 @@ class JointCountKernel {
   // Packed per-row keys for the sort-based strategies (and radix scratch).
   std::vector<uint64_t> keys_;
   std::vector<uint64_t> keys_tmp_;
-  // Sparse scratch, cleared (capacity kept) between pairs.
-  std::unordered_map<uint64_t, uint64_t> sparse_;
-  std::vector<uint64_t> sparse_keys_;
 };
 
 // Deterministic folds over a counting result. All entropies are in bits

@@ -212,10 +212,12 @@ TEST(GraphBuilderTest, DensePathIsReEncodingInvariant) {
   Table table = RandomChainTable(2000, 21);
   DependencyGraphOptions options;
   // All pairs must take the dense path for this to exercise it.
+  JointCountKernel kernel;
   for (size_t i = 0; i < table.num_attributes(); ++i) {
     for (size_t j = i + 1; j < table.num_attributes(); ++j) {
-      ASSERT_TRUE(JointCountKernel::UseDense(table.column(i),
-                                             table.column(j), options.stats));
+      ASSERT_TRUE(
+          kernel.Count(table.column(i), table.column(j), options.stats)
+              .used_dense);
     }
   }
   auto baseline = BuildDependencyGraph(table, options);

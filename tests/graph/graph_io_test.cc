@@ -4,6 +4,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -128,6 +129,35 @@ TEST(GraphIoTest, FileRoundTripAndMissingFile) {
   auto missing = ReadGraphFile(testing::TempDir() + "/does_not_exist.dmg");
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+}
+
+TEST(GraphIoTest, WriteLeavesNoTempFileBehind) {
+  std::string path = testing::TempDir() + "/graph_io_atomic_ok.bin";
+  ASSERT_TRUE(graphio::WriteStringToFile(path, "first").ok());
+  ASSERT_TRUE(graphio::WriteStringToFile(path, "second").ok());
+  std::string bytes;
+  ASSERT_TRUE(graphio::ReadFileToString(path, &bytes).ok());
+  EXPECT_EQ(bytes, "second");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::filesystem::remove(path);
+}
+
+TEST(GraphIoTest, FailedWriteKeepsPreviousFile) {
+  // A directory squatting on the temp path makes the write fail even
+  // for root; the previous file must survive byte for byte.
+  std::string path = testing::TempDir() + "/graph_io_atomic_fail.bin";
+  const std::string previous("previous\0contents", 17);
+  ASSERT_TRUE(graphio::WriteStringToFile(path, previous).ok());
+  std::filesystem::create_directory(path + ".tmp");
+
+  Status status = graphio::WriteStringToFile(path, "replacement");
+  EXPECT_FALSE(status.ok());
+  std::string bytes;
+  ASSERT_TRUE(graphio::ReadFileToString(path, &bytes).ok());
+  EXPECT_EQ(bytes, previous);
+
+  std::filesystem::remove(path + ".tmp");
+  std::filesystem::remove(path);
 }
 
 TEST(GraphIoTest, EndianPrimitivesRoundTrip) {

@@ -399,10 +399,10 @@ TEST(MatchServiceTest, AdmissionShedsExactlyBeyondBound) {
   service.PauseForTest();
 
   // Fill the queue with blocked callers.
-  // depmatch-lint: allow(raw-thread)
+  // depmatch-analyze: allow(raw-thread)
   std::vector<std::thread> blocked;
   for (size_t i = 0; i < options.max_queue; ++i) {
-    // depmatch-lint: allow(raw-thread) — admitted callers must block
+    // depmatch-analyze: allow(raw-thread) — admitted callers must block
     // in Process() on independent threads to hold queue slots.
     blocked.emplace_back([&service, i] {
       Response response = service.Process(
@@ -424,7 +424,7 @@ TEST(MatchServiceTest, AdmissionShedsExactlyBeyondBound) {
   EXPECT_EQ(shed.status, WireStatus::kOverloaded);
 
   service.ResumeForTest();
-  // depmatch-lint: allow(raw-thread)
+  // depmatch-analyze: allow(raw-thread)
   for (std::thread& thread : blocked) thread.join();
 
   StatsResponse stats = service.Stats();
@@ -441,7 +441,7 @@ TEST(MatchServiceTest, QueuedDeadlineIsShedNotServedLate) {
   Request request = SearchStoredRequest(CorpusEntryName(0), 2, 300);
   request.deadline_ms = 20;
   Response response;
-  // depmatch-lint: allow(raw-thread) — the caller must block in
+  // depmatch-analyze: allow(raw-thread) — the caller must block in
   // Process() while the main thread out-waits the deadline.
   std::thread caller(
       [&service, &request, &response] { response = service.Process(request); });
@@ -463,7 +463,7 @@ TEST(MatchServiceTest, DefaultDeadlineAppliesToBareRequests) {
   MatchService service(MakeCatalog(2), options);
   service.PauseForTest();
   Response response;
-  // depmatch-lint: allow(raw-thread) — see above.
+  // depmatch-analyze: allow(raw-thread) — see above.
   std::thread caller([&service, &response] {
     response =
         service.Process(SearchStoredRequest(CorpusEntryName(0), 2, 301));
@@ -484,7 +484,7 @@ TEST(MatchServiceTest, StopDrainsQueueWithShuttingDown) {
   service.PauseForTest();
   Response queued_response;
   std::atomic<bool> queued_done{false};
-  // depmatch-lint: allow(raw-thread) — the queued caller must block
+  // depmatch-analyze: allow(raw-thread) — the queued caller must block
   // across the Stop() call.
   std::thread caller([&] {
     queued_response =
@@ -531,10 +531,10 @@ TEST(MatchServiceTest, WritesKeepAdmissionOrderAcrossWorkers) {
       SearchStoredRequest(CorpusEntryName(3), 3, 504),
   };
   std::vector<Response> responses(requests.size());
-  // depmatch-lint: allow(raw-thread)
+  // depmatch-analyze: allow(raw-thread)
   std::vector<std::thread> callers;
   for (size_t i = 0; i < requests.size(); ++i) {
-    // depmatch-lint: allow(raw-thread) — each caller blocks in Process()
+    // depmatch-analyze: allow(raw-thread) — each caller blocks in Process()
     // on its own thread; admitting them one at a time fixes queue order.
     callers.emplace_back([&service, &requests, &responses, i] {
       responses[i] = service.Process(requests[i]);
@@ -547,7 +547,7 @@ TEST(MatchServiceTest, WritesKeepAdmissionOrderAcrossWorkers) {
     ASSERT_EQ(service.QueueDepthForTest(), i + 1);
   }
   service.ResumeForTest();
-  // depmatch-lint: allow(raw-thread)
+  // depmatch-analyze: allow(raw-thread)
   for (std::thread& thread : callers) thread.join();
 
   // Searches admitted before the insert ran on the old snapshot even

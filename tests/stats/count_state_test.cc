@@ -171,15 +171,6 @@ INSTANTIATE_TEST_SUITE_P(
         CountStateCase{NullPolicy::kDropNulls, true, size_t{1} << 16},
         CountStateCase{NullPolicy::kDropNulls, true, 0}));
 
-TEST(CountStateTest, RejectsSketchMode) {
-  CountStateOptions options;
-  options.stats.sketch_mode = SketchMode::kCountMin;
-  Result<TableCountState> state =
-      TableCountState::FromTable(MakeBatch(1, 10, false), options);
-  ASSERT_FALSE(state.ok());
-  EXPECT_EQ(state.status().code(), StatusCode::kInvalidArgument);
-}
-
 TEST(CountStateTest, RejectsSchemaMismatch) {
   Result<TableCountState> state =
       TableCountState::FromTable(MakeBatch(1, 10, false), {});

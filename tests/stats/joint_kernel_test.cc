@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "depmatch/common/rng.h"
@@ -42,8 +43,15 @@ StatsOptions DenseOptions(NullPolicy policy = NullPolicy::kNullAsSymbol) {
 StatsOptions SparseOptions(NullPolicy policy = NullPolicy::kNullAsSymbol) {
   StatsOptions options;
   options.null_policy = policy;
-  options.dense_cell_budget = 0;  // force the hash-map fallback
+  options.dense_cell_budget = 0;  // force the sparse fallback
   return options;
+}
+
+// Which kernel the crossover picks for (x, y): the counting pass records
+// it, so the Column shape needs no separate entry point.
+bool UsesDense(const Column& x, const Column& y, const StatsOptions& options) {
+  JointCountKernel kernel;
+  return kernel.Count(x, y, options).used_dense;
 }
 
 TEST(ColumnMarginalTest, MatchesHistogramAndEntropyOf) {
@@ -71,11 +79,11 @@ TEST(JointCountKernelTest, DenseSelectionRule) {
   StatsOptions options;
   options.auto_dense_budget = false;  // exercise the static budget alone
   options.dense_cell_budget = 15;     // 5 * 3 = 15 fits exactly
-  EXPECT_TRUE(JointCountKernel::UseDense(x, y, options));
+  EXPECT_TRUE(UsesDense(x, y, options));
   options.dense_cell_budget = 14;
-  EXPECT_FALSE(JointCountKernel::UseDense(x, y, options));
+  EXPECT_FALSE(UsesDense(x, y, options));
   options.dense_cell_budget = 0;
-  EXPECT_FALSE(JointCountKernel::UseDense(x, y, options));
+  EXPECT_FALSE(UsesDense(x, y, options));
 }
 
 // All-distinct column of `rows` values: rows + 1 slots.
@@ -96,11 +104,11 @@ TEST(JointCountKernelTest, AutoDenseBudgetUsesMeasuredShape) {
   // allowance (4 rows * kDenseAutoCellsPerRow), so the pair goes dense.
   Column x = Int64Column({0, 1, 2, 3});  // 4 rows, 5 slots
   Column y = Int64Column({0, 1, 0, 1});  // 3 slots
-  EXPECT_TRUE(JointCountKernel::UseDense(x, y, options));
+  EXPECT_TRUE(UsesDense(x, y, options));
 
   // Budget 0 still forces sparse: auto never overrides the opt-out.
   options.dense_cell_budget = 0;
-  EXPECT_FALSE(JointCountKernel::UseDense(x, y, options));
+  EXPECT_FALSE(UsesDense(x, y, options));
   options.dense_cell_budget = 1;
 
   // The allowance is row-bounded: two all-distinct 5000-row columns give
@@ -110,13 +118,13 @@ TEST(JointCountKernelTest, AutoDenseBudgetUsesMeasuredShape) {
   Column big_y = DistinctColumn(5000);
   ASSERT_GT((big_x.distinct_count() + 1) * (big_y.distinct_count() + 1),
             5000 * kDenseAutoCellsPerRow);
-  EXPECT_FALSE(JointCountKernel::UseDense(big_x, big_y, options));
+  EXPECT_FALSE(UsesDense(big_x, big_y, options));
 
   // ...but a generous static budget still wins (auto only ever raises).
   options.dense_cell_budget = size_t{1} << 26;
-  EXPECT_TRUE(JointCountKernel::UseDense(big_x, big_y, options));
+  EXPECT_TRUE(UsesDense(big_x, big_y, options));
 
-  // The CodeView overload applies the same rule.
+  // The shape-only CodeView entry point applies the same rule.
   std::vector<uint32_t> slots = {1, 2, 1, 2};
   CodeView view{slots.data(), slots.size(), 3, 0};
   StatsOptions tiny;
@@ -126,30 +134,89 @@ TEST(JointCountKernelTest, AutoDenseBudgetUsesMeasuredShape) {
   EXPECT_FALSE(JointCountKernel::UseDense(view, view, tiny));
 }
 
+// Exact comparison against the independent hash-map oracle: same total,
+// same cells with the same integer counts, and the same retained
+// marginals (the kernel's per-pair marginals when it filled them, else
+// the pair-invariant column marginals, which then cover the same rows).
+void ExpectMatchesOracle(const Column& x, const Column& y, NullPolicy policy,
+                         const JointCounts& counts) {
+  JointHistogram joint = JointHistogram::FromColumns(x, y, policy);
+  EXPECT_EQ(counts.total, joint.total());
+  ASSERT_EQ(counts.num_cells(), joint.cells().size());
+  for (size_t c = 0; c < counts.num_cells(); ++c) {
+    int32_t x_code = static_cast<int32_t>(counts.cell_x_slots[c]) - 1;
+    int32_t y_code = static_cast<int32_t>(counts.cell_y_slots[c]) - 1;
+    auto it = joint.cells().find(JointHistogram::PackCodes(x_code, y_code));
+    ASSERT_NE(it, joint.cells().end());
+    EXPECT_EQ(counts.cell_counts[c], it->second);
+  }
+  auto expect_marginal = [](const std::vector<uint64_t>& slots,
+                            const std::unordered_map<int32_t, uint64_t>&
+                                oracle) {
+    size_t observed = 0;
+    for (size_t s = 0; s < slots.size(); ++s) {
+      if (slots[s] == 0) continue;
+      ++observed;
+      auto it = oracle.find(static_cast<int32_t>(s) - 1);
+      ASSERT_NE(it, oracle.end()) << "slot " << s;
+      EXPECT_EQ(slots[s], it->second) << "slot " << s;
+    }
+    EXPECT_EQ(observed, oracle.size());
+  };
+  expect_marginal(counts.has_marginals
+                      ? counts.x_marginals
+                      : ComputeColumnMarginal(x, policy).slots,
+                  joint.x_counts());
+  expect_marginal(counts.has_marginals
+                      ? counts.y_marginals
+                      : ComputeColumnMarginal(y, policy).slots,
+                  joint.y_counts());
+}
+
 TEST(JointCountKernelTest, MatchesJointHistogram) {
-  Rng rng(5);
-  Column x = RandomColumn(rng, 400, 13, 0.15);
-  Column y = RandomColumn(rng, 400, 7, 0.15);
-  for (NullPolicy policy :
-       {NullPolicy::kNullAsSymbol, NullPolicy::kDropNulls}) {
-    for (bool dense : {true, false}) {
+  // One shape per counting strategy, each checked against the oracle
+  // under both null policies. The shape guards pin each case to its
+  // strategy's regime, so moving a crossover constant cannot silently
+  // drop one from coverage.
+  enum class Strategy { kLanes, kTouched, kSorted, kSparse };
+  struct Shape {
+    Strategy strategy;
+    size_t rows, alphabet_x, alphabet_y;
+  };
+  const Shape shapes[] = {
+      {Strategy::kLanes, 2000, 5, 7},       // cells <= rows
+      {Strategy::kTouched, 500, 40, 40},    // rows < cells < 2^17
+      {Strategy::kSorted, 3000, 600, 600},  // cells >= 2^17, still dense
+      {Strategy::kSparse, 3000, 600, 600},  // dense_cell_budget = 0
+  };
+  constexpr size_t kSortMinCells = size_t{1} << 17;
+  Rng rng(123);
+  for (const Shape& shape : shapes) {
+    Column x = RandomColumn(rng, shape.rows, shape.alphabet_x, 0.1);
+    Column y = RandomColumn(rng, shape.rows, shape.alphabet_y, 0.1);
+    const size_t cells = (x.distinct_count() + 1) * (y.distinct_count() + 1);
+    switch (shape.strategy) {
+      case Strategy::kLanes:
+        ASSERT_LE(cells, shape.rows);
+        break;
+      case Strategy::kTouched:
+        ASSERT_GT(cells, shape.rows);
+        ASSERT_LT(cells, kSortMinCells);
+        break;
+      case Strategy::kSorted:
+      case Strategy::kSparse:
+        ASSERT_GE(cells, kSortMinCells);
+        break;
+    }
+    const bool dense = shape.strategy != Strategy::kSparse;
+    for (NullPolicy policy :
+         {NullPolicy::kNullAsSymbol, NullPolicy::kDropNulls}) {
       StatsOptions options = dense ? DenseOptions(policy)
                                    : SparseOptions(policy);
       JointCountKernel kernel;
       const JointCounts& counts = kernel.Count(x, y, options);
       EXPECT_EQ(counts.used_dense, dense);
-
-      JointHistogram joint = JointHistogram::FromColumns(x, y, policy);
-      EXPECT_EQ(counts.total, joint.total());
-      ASSERT_EQ(counts.num_cells(), joint.cells().size());
-      for (size_t c = 0; c < counts.num_cells(); ++c) {
-        int32_t x_code = static_cast<int32_t>(counts.cell_x_slots[c]) - 1;
-        int32_t y_code = static_cast<int32_t>(counts.cell_y_slots[c]) - 1;
-        uint64_t key = JointHistogram::PackCodes(x_code, y_code);
-        auto it = joint.cells().find(key);
-        ASSERT_NE(it, joint.cells().end());
-        EXPECT_EQ(counts.cell_counts[c], it->second);
-      }
+      ExpectMatchesOracle(x, y, policy, counts);
     }
   }
 }
@@ -200,70 +267,6 @@ TEST(JointCountKernelTest, DenseAndSparseAreBitIdentical) {
                        ChiSquareStatistic(x, y, sparse));
     }
   }
-}
-
-// Slot-level equality of two counting passes: same totals, same cells,
-// same counts — which (with canonical order) implies every downstream
-// double fold is bit-identical.
-void ExpectSameCounts(const JointCounts& a, const JointCounts& b) {
-  EXPECT_EQ(a.total, b.total);
-  EXPECT_EQ(a.cell_x_slots, b.cell_x_slots);
-  EXPECT_EQ(a.cell_y_slots, b.cell_y_slots);
-  EXPECT_EQ(a.cell_counts, b.cell_counts);
-  EXPECT_EQ(a.has_marginals, b.has_marginals);
-  EXPECT_EQ(a.x_marginals, b.x_marginals);
-  EXPECT_EQ(a.y_marginals, b.y_marginals);
-}
-
-TEST(JointCountKernelTest, AutoDispatchMatchesScalarAcrossStrategies) {
-  // Shapes chosen to land in each kAuto strategy: lane-split (cells <=
-  // rows), touched-scatter (rows < cells < sort threshold), radix-sort
-  // (cells >= 2^17 via two ~600-distinct columns), and the sparse packed
-  // sort (budget 0). Every one must reproduce the kScalar reference
-  // slot-for-slot.
-  struct Shape {
-    size_t rows, alphabet_x, alphabet_y;
-    bool force_sparse;
-  };
-  const Shape shapes[] = {
-      {2000, 5, 7, false},     // lanes vs scan
-      {500, 40, 40, false},    // touched both ways
-      {3000, 600, 600, false},  // sorted vs touched (361K cells)
-      {3000, 600, 600, true},   // sparse: packed sort vs hash map
-  };
-  Rng rng(123);
-  for (const Shape& shape : shapes) {
-    for (NullPolicy policy :
-         {NullPolicy::kNullAsSymbol, NullPolicy::kDropNulls}) {
-      Column x = RandomColumn(rng, shape.rows, shape.alphabet_x, 0.1);
-      Column y = RandomColumn(rng, shape.rows, shape.alphabet_y, 0.1);
-      StatsOptions auto_options;
-      auto_options.null_policy = policy;
-      if (shape.force_sparse) auto_options.dense_cell_budget = 0;
-      StatsOptions scalar_options = auto_options;
-      scalar_options.dispatch = JointKernelDispatch::kScalar;
-
-      JointCountKernel auto_kernel;
-      JointCountKernel scalar_kernel;
-      const JointCounts& a = auto_kernel.Count(x, y, auto_options);
-      const JointCounts& s = scalar_kernel.Count(x, y, scalar_options);
-      EXPECT_EQ(a.used_dense, !shape.force_sparse);
-      ExpectSameCounts(a, s);
-    }
-  }
-}
-
-TEST(JointCountKernelTest, SortStrategyShapeReallyExceedsThreshold) {
-  // Guard the sorted-strategy coverage above: if the crossover constants
-  // move, the 600x600 shape must still exercise the radix path (cells
-  // beyond the touched-scatter range but within the auto dense budget).
-  Rng rng(9);
-  Column x = RandomColumn(rng, 3000, 600, 0.1);
-  Column y = RandomColumn(rng, 3000, 600, 0.1);
-  size_t cells = (x.distinct_count() + 1) * (y.distinct_count() + 1);
-  EXPECT_GT(cells, size_t{1} << 17);
-  EXPECT_GT(cells, size_t{3000});  // not the lane/scan regime
-  EXPECT_TRUE(JointCountKernel::UseDense(x, y, StatsOptions{}));
 }
 
 TEST(JointCountKernelTest, PairMarginalsOnlyWhenDroppingObservedNulls) {

@@ -146,11 +146,11 @@ TEST(IncrementalStressTest, ConcurrentAppendsSearchesAndInsertsReplayExactly) {
   bool inserter_ok = false;
 
   {
-    // depmatch-lint: allow(raw-thread)
+    // depmatch-analyze: allow(raw-thread)
     std::vector<std::thread> threads;
     threads.reserve(kAppenders + kSearchers + 1);
     for (size_t a = 0; a < kAppenders; ++a) {
-      // depmatch-lint: allow(raw-thread) — the stress is many OS
+      // depmatch-analyze: allow(raw-thread) — the stress is many OS
       // threads blocking on independent connections at once.
       threads.emplace_back([&, a] {
         Result<ServiceClient> client =
@@ -167,7 +167,7 @@ TEST(IncrementalStressTest, ConcurrentAppendsSearchesAndInsertsReplayExactly) {
       });
     }
     for (size_t s = 0; s < kSearchers; ++s) {
-      // depmatch-lint: allow(raw-thread) — see above.
+      // depmatch-analyze: allow(raw-thread) — see above.
       threads.emplace_back([&, s] {
         Result<ServiceClient> client =
             ServiceClient::Connect(server.socket_path());
@@ -193,7 +193,7 @@ TEST(IncrementalStressTest, ConcurrentAppendsSearchesAndInsertsReplayExactly) {
         searcher_ok[s] = true;
       });
     }
-    // depmatch-lint: allow(raw-thread) — one inserter churns snapshot
+    // depmatch-analyze: allow(raw-thread) — one inserter churns snapshot
     // publications underneath the appends and searches.
     threads.emplace_back([&] {
       Result<ServiceClient> client =
@@ -207,7 +207,7 @@ TEST(IncrementalStressTest, ConcurrentAppendsSearchesAndInsertsReplayExactly) {
       }
       inserter_ok = true;
     });
-    // depmatch-lint: allow(raw-thread)
+    // depmatch-analyze: allow(raw-thread)
     for (std::thread& thread : threads) thread.join();
   }
 

@@ -1,12 +1,11 @@
-// Scalar-vs-vectorized bit-identity of the joint-count kernel under the
-// thread-count sweep: JointKernelDispatch::kAuto (lane-split / touched /
-// radix-sort strategies) must reproduce the kScalar reference graph
-// exactly at 1, 2, and 8 threads, and the opt-in count-min sketch tier —
-// while not equal to exact — must itself be deterministic and
-// thread-invariant. Run under the `tsan` preset (ctest label
-// `tsan_stress`) this puts the race detector on the per-worker kernel
-// and sketch scratch while the contracts are asserted with exact double
-// equality.
+// Strategy- and thread-invariance of the joint-count kernel under the
+// graph builder: the graph must be exactly the same at 1, 2, and 8
+// threads, and exactly the same whether pairs are counted densely
+// (lane-split / touched / radix-sort strategies, chosen by shape) or all
+// forced through the sparse packed sort. Run under the `tsan` preset
+// (ctest label `tsan_stress`) this puts the race detector on the
+// per-worker kernel scratch while both contracts are asserted with exact
+// double equality.
 
 #include "depmatch/graph/graph_builder.h"
 
@@ -16,16 +15,15 @@
 #include <string>
 
 #include "depmatch/common/rng.h"
-#include "depmatch/stats/joint_sketch.h"
 #include "depmatch/table/csv.h"
 #include "depmatch/table/table.h"
 
 namespace depmatch {
 namespace {
 
-// Columns spanning low and high cardinality, so the kAuto dispatch hits
-// every dense strategy (lane-split for small alphabets, touched-scatter
-// in the middle, and — pushed by the cell budget — the sparse paths).
+// Columns spanning low and high cardinality, so the shape rule hits every
+// dense strategy (lane-split for small alphabets, touched-scatter in the
+// middle, and — pushed by the cell budget — the sparse path).
 Table MixedCardinalityTable(size_t rows, size_t cols, uint64_t seed) {
   Rng rng(seed);
   std::string csv;
@@ -49,69 +47,59 @@ Table MixedCardinalityTable(size_t rows, size_t cols, uint64_t seed) {
 }
 
 void ExpectIdenticalGraphs(const DependencyGraph& base,
-                           const DependencyGraph& other, size_t threads) {
+                           const DependencyGraph& other,
+                           const std::string& label) {
   ASSERT_EQ(other.size(), base.size());
   for (size_t i = 0; i < base.size(); ++i) {
     for (size_t j = 0; j < base.size(); ++j) {
       EXPECT_EQ(other.mi(i, j), base.mi(i, j))
-          << "cell (" << i << "," << j << ") at num_threads=" << threads;
+          << "cell (" << i << "," << j << ") " << label;
     }
   }
 }
 
-TEST(JointKernelDispatchStressTest, AutoMatchesScalarAtEveryThreadCount) {
+TEST(JointKernelStrategyStressTest, SameGraphAtEveryStrategyAndThreadCount) {
   Table table = MixedCardinalityTable(600, 12, 271);
-  // Budget sweep routes pairs through different strategy mixes: the
+  // The reference counts every pair with the sparse packed sort. The
+  // budget sweep then routes pairs through different strategy mixes: the
   // default admits every pair dense (auto-raise), a tiny budget mixes
-  // dense and sparse, and 0 forces all-sparse (packed sort vs hash map).
+  // dense and sparse, and 0 is all-sparse again.
+  DependencyGraphOptions sparse_options;
+  sparse_options.stats.dense_cell_budget = 0;
+  auto reference = BuildDependencyGraph(table, sparse_options);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+
   const size_t kBudgets[] = {size_t{1} << 20, 5000, 0};
   for (size_t budget : kBudgets) {
-    DependencyGraphOptions scalar_options;
-    scalar_options.stats.dense_cell_budget = budget;
-    scalar_options.stats.dispatch = JointKernelDispatch::kScalar;
-    scalar_options.num_threads = 1;
-    auto reference = BuildDependencyGraph(table, scalar_options);
-    ASSERT_TRUE(reference.ok()) << reference.status();
-
     for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-      DependencyGraphOptions auto_options;
-      auto_options.stats.dense_cell_budget = budget;
-      auto_options.num_threads = threads;
-      auto graph = BuildDependencyGraph(table, auto_options);
+      DependencyGraphOptions options;
+      options.stats.dense_cell_budget = budget;
+      options.num_threads = threads;
+      auto graph = BuildDependencyGraph(table, options);
       ASSERT_TRUE(graph.ok()) << graph.status();
-      ExpectIdenticalGraphs(reference.value(), graph.value(), threads);
-
-      // The scalar dispatch is thread-invariant too.
-      scalar_options.num_threads = threads;
-      auto scalar = BuildDependencyGraph(table, scalar_options);
-      ASSERT_TRUE(scalar.ok()) << scalar.status();
-      ExpectIdenticalGraphs(reference.value(), scalar.value(), threads);
+      ExpectIdenticalGraphs(reference.value(), graph.value(),
+                            "at dense_cell_budget=" + std::to_string(budget) +
+                                ", num_threads=" + std::to_string(threads));
     }
   }
 }
 
-TEST(JointKernelDispatchStressTest, SketchTierIsThreadInvariant) {
+TEST(JointKernelStrategyStressTest, RepeatedParallelBuildsAreIdentical) {
+  // Per-worker scratch reuse in the pool must not leak between pairs or
+  // builds: back-to-back 8-thread builds give the same graph.
   Table table = MixedCardinalityTable(500, 10, 523);
-  DependencyGraphOptions options;
-  options.stats.dense_cell_budget = 0;  // every pair through the sketch
-  options.stats.sketch_mode = SketchMode::kCountMin;
-  options.num_threads = 1;
-  auto base = BuildDependencyGraph(table, options);
-  ASSERT_TRUE(base.ok()) << base.status();
-  for (size_t threads : {size_t{2}, size_t{8}}) {
-    options.num_threads = threads;
-    auto graph = BuildDependencyGraph(table, options);
-    ASSERT_TRUE(graph.ok()) << graph.status();
-    ExpectIdenticalGraphs(base.value(), graph.value(), threads);
+  for (size_t budget : {size_t{1} << 20, size_t{0}}) {
+    DependencyGraphOptions options;
+    options.stats.dense_cell_budget = budget;
+    options.num_threads = 8;
+    auto first = BuildDependencyGraph(table, options);
+    ASSERT_TRUE(first.ok()) << first.status();
+    auto again = BuildDependencyGraph(table, options);
+    ASSERT_TRUE(again.ok()) << again.status();
+    ExpectIdenticalGraphs(first.value(), again.value(),
+                          "on a repeated build, dense_cell_budget=" +
+                              std::to_string(budget));
   }
-  // And deterministic across repeated parallel builds (sketch scratch
-  // reuse in the worker pool must not leak between pairs or builds).
-  options.num_threads = 8;
-  auto first = BuildDependencyGraph(table, options);
-  ASSERT_TRUE(first.ok()) << first.status();
-  auto again = BuildDependencyGraph(table, options);
-  ASSERT_TRUE(again.ok()) << again.status();
-  ExpectIdenticalGraphs(first.value(), again.value(), 8);
 }
 
 }  // namespace

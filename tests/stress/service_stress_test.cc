@@ -112,11 +112,11 @@ TEST(ServiceStressTest, ConcurrentSearchesAndInsertsStayBitIdentical) {
   std::vector<uint8_t> client_ok(kClients, 0);
 
   {
-    // depmatch-lint: allow(raw-thread)
+    // depmatch-analyze: allow(raw-thread)
     std::vector<std::thread> threads;
     threads.reserve(kClients);
     for (size_t c = 0; c < kClients; ++c) {
-      // depmatch-lint: allow(raw-thread) — the point of the stress is
+      // depmatch-analyze: allow(raw-thread) — the point of the stress is
       // many OS threads blocking on independent connections at once.
       threads.emplace_back([&, c] {
         Result<ServiceClient> client =
@@ -167,7 +167,7 @@ TEST(ServiceStressTest, ConcurrentSearchesAndInsertsStayBitIdentical) {
         client_ok[c] = true;
       });
     }
-    // depmatch-lint: allow(raw-thread)
+    // depmatch-analyze: allow(raw-thread)
     for (std::thread& thread : threads) thread.join();
   }
 

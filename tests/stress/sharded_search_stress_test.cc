@@ -102,7 +102,7 @@ TEST(ShardedSearchStressTest, EightConcurrentClientsOnAFreshStore) {
     std::vector<Status> statuses(kClients);
     // Raw threads on purpose: the clients model independent processes
     // hitting one store, not pool workers.
-    // depmatch-lint: allow(raw-thread)
+    // depmatch-analyze: allow(raw-thread)
     std::vector<std::thread> clients;
     clients.reserve(kClients);
     for (size_t c = 0; c < kClients; ++c) {
@@ -113,7 +113,7 @@ TEST(ShardedSearchStressTest, EightConcurrentClientsOnAFreshStore) {
         if (result.ok()) results[c] = *std::move(result);
       });
     }
-    // depmatch-lint: allow(raw-thread)
+    // depmatch-analyze: allow(raw-thread)
     for (std::thread& t : clients) t.join();
     for (size_t c = 0; c < kClients; ++c) {
       ASSERT_TRUE(statuses[c].ok()) << statuses[c];

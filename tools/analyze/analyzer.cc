@@ -112,7 +112,7 @@ int ParseArgs(int argc, char** argv, AnalyzerOptions* opts,
           << "Multi-pass static analysis of DIR/{src,tests,bench,tools}:\n"
           << "  lock discipline (DEPMATCH_GUARDED_BY / _ONCE, REQUIRES,\n"
           << "  EXCLUDES), module layering + include cycles, determinism\n"
-          << "  rules, and the depmatch_lint legacy rules.\n"
+          << "  rules, and the legacy textual rules.\n"
           << "Exit codes: 0 clean, 1 findings, 2 tool error.\n";
       return -1;
     } else if (!arg.empty() && arg[0] == '-') {

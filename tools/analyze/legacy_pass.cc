@@ -12,8 +12,7 @@ namespace depmatch_analyze {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Statement splitting for the discarded-status rule (carried over from
-// depmatch_lint verbatim in behaviour).
+// Statement splitting for the discarded-status rule.
 // ---------------------------------------------------------------------------
 
 struct Statement {
@@ -352,24 +351,6 @@ void LegacyPass::Check(const SourceFile& file,
              "expected include guard '" + guard +
                  "' (#ifndef/#define pair) derived from the header path",
              findings);
-    }
-  }
-
-  // sketch-gate (src/ only; the sketch module defines kernel and gate).
-  if (file.in_src && rel.find("stats/joint_sketch") == std::string::npos) {
-    static const std::regex kKernel(R"(\bJointSketchKernel\b)");
-    auto begin = std::sregex_iterator(code.begin(), code.end(), kKernel);
-    if (begin != std::sregex_iterator() &&
-        code.find("UseSketch") == std::string::npos) {
-      for (auto it = begin; it != std::sregex_iterator(); ++it) {
-        size_t line = LineOfOffset(code, static_cast<size_t>(it->position()));
-        Report(file, line, "sketch-gate",
-               "JointSketchKernel used without a UseSketch() gate; the "
-               "count-min tier is approximate and must only run when "
-               "StatsOptions::sketch_mode is explicitly set (see "
-               "stats/joint_sketch.h)",
-               findings);
-      }
     }
   }
 }

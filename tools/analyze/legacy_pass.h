@@ -1,8 +1,8 @@
 // Copyright 2026 The DepMatch Authors.
 // Licensed under the Apache License, Version 2.0.
 //
-// The rules depmatch_analyze absorbed from depmatch_lint, unchanged in
-// spirit and rule id (existing `allow(...)` suppressions keep working):
+// The rules depmatch_analyze absorbed from its textual predecessor,
+// unchanged in spirit and rule id:
 //
 //   discarded-status  a bare call to a Status/Result-returning function
 //                     whose result is dropped (.cc files)
@@ -12,7 +12,6 @@
 //   raw-thread        std::thread/jthread/async/pthread_create outside
 //                     common/thread_pool
 //   header-guard      DEPMATCH_<PATH>_H_ include guards
-//   sketch-gate       JointSketchKernel use without a UseSketch() gate
 //
 // The old bit-identical construct check is NOT here: the determinism
 // pass supersedes it with src-wide det-atomic-float / det-reduce and the

@@ -145,16 +145,12 @@ std::string SentinelMarker() {
 
 namespace {
 
-// "depmatch-analyze: allow(rule)" / "depmatch-lint: allow(rule)",
-// assembled at runtime so the analyzer's own sources never match.
-std::string AllowMarker(const std::string& tool, const std::string& rule) {
-  return tool + ": allow(" + rule + ")";
-}
-
+// "depmatch-analyze: allow(rule)", assembled at runtime so the
+// analyzer's own sources never match.
 bool LineAllows(const std::string& text, const std::string& rule) {
-  return text.find(AllowMarker("depmatch-analyze", rule)) !=
-             std::string::npos ||
-         text.find(AllowMarker("depmatch-lint", rule)) != std::string::npos;
+  const std::string marker =
+      std::string("depmatch-analyze") + ": allow(" + rule + ")";
+  return text.find(marker) != std::string::npos;
 }
 
 bool IsCommentOnlyLine(const std::string& text) {

@@ -56,8 +56,7 @@ size_t LineOfOffset(const std::string& text, size_t offset);
 std::string SentinelMarker();
 
 // True when the finding on `line` is suppressed by an allow-marker on
-// that line or the one above. Both the legacy `depmatch-lint:` and the
-// current `depmatch-analyze:` spellings are honored.
+// that line or the one above (`depmatch-analyze: allow(<rule>)`).
 bool Suppressed(const std::vector<std::string>& raw_lines, size_t line,
                 const std::string& rule);
 

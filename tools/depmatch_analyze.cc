@@ -3,7 +3,7 @@
 //
 // depmatch_analyze — multi-pass whole-project static analysis: lock
 // discipline, module layering, determinism rules, and the legacy
-// depmatch_lint rules. See tools/analyze/ for the passes and
+// textual rules. See tools/analyze/ for the passes and
 // docs/static_analysis.md for the contract.
 
 #include <iostream>
