@@ -15,18 +15,19 @@
 //                metadata + signature materialization)
 //   search       warm tiered+sharded top-k latency (p50/p99/min over
 //                repetitions) with prune rate and bound-evaluation
-//                counts, against the flat prefilter's O(corpus) bound
-//                pass on the same entries
+//                counts, against the O(corpus) bound pass of the
+//                same entries searched without an index (one leaf)
 //
-// Before timing, every mode — in-memory flat, in-memory tiered, and
-// sharded tiered, at 1/2/8 threads — must return the identical top-k,
-// entry for entry and bit-for-bit in every ranking key; at small sizes
-// the no-prefilter brute force joins the comparison. The index and the
-// store are required to be unobservable in the results.
+// Before timing, every mode — in-memory un-indexed, in-memory tiered,
+// and sharded tiered, at 1/2/8 threads — must return the identical
+// top-k, entry for entry and bit-for-bit in every ranking key; at small
+// sizes the brute force (a k = N search, which never prunes) joins the
+// comparison. The index and the store are required to be unobservable
+// in the results.
 //
 // The scaling claims to look for in BENCH_catalog_scale.json:
 //   * per-query bound evaluations grow sublinearly in corpus size
-//     (tiered) while the flat pass grows linearly, and
+//     (tiered) while the un-indexed pass grows linearly, and
 //   * sharded open time stays flat across corpus sizes while the
 //     monolithic load grows linearly.
 //
@@ -91,16 +92,15 @@ GraphCorpusOptions CorpusConfig(size_t entries) {
   return options;
 }
 
-CatalogSearchOptions SearchConfig(bool use_prefilter, bool use_index,
-                                  size_t num_threads) {
+constexpr size_t kTopK = 10;
+
+CatalogSearchOptions SearchConfig(size_t num_threads, size_t k = kTopK) {
   CatalogSearchOptions options;
-  options.k = 10;
+  options.k = k;
   options.match.cardinality = Cardinality::kOnto;
   options.match.metric = MetricKind::kMutualInfoNormal;
   options.match.alpha = 3.0;
   options.match.algorithm = MatchAlgorithm::kSimulatedAnnealing;
-  options.use_prefilter = use_prefilter;
-  options.use_index = use_index;
   options.num_threads = num_threads;
   return options;
 }
@@ -161,6 +161,8 @@ SizeReport RunSize(size_t entries, size_t reps, bool smoke) {
           catalog.Insert(CorpusEntryName(i), CorpusEntry(corpus, i)).ok());
     }
   });
+  // The un-indexed twin shares every entry with `catalog`.
+  const GraphCatalog unindexed = catalog;
   report.index_ms = TimeMs([&] { catalog.BuildIndex(); });
 
   // Persistence: sharded write vs the monolithic DMC1 round trip.
@@ -198,27 +200,27 @@ SizeReport RunSize(size_t entries, size_t reps, bool smoke) {
   // and signature materialization.
   CatalogSearchResult tiered;
   report.first_query_ms = TimeMs([&] {
-    Result<CatalogSearchResult> search = SearchShardedCatalog(
-        query, store, SearchConfig(true, true, fanout_threads));
+    Result<CatalogSearchResult> search =
+        SearchShardedCatalog(query, store, SearchConfig(fanout_threads));
     DEPMATCH_CHECK(search.ok());
     tiered = std::move(search).value();
   });
   report.tiered_stats = tiered.stats;
 
-  // Identity gate: flat in-memory is the reference; the index, the
-  // store, and the thread count must all be unobservable.
+  // Identity gate: the un-indexed in-memory search is the reference;
+  // the index, the store, and the thread count must all be unobservable.
   Result<CatalogSearchResult> reference =
-      SearchCatalog(query, catalog, SearchConfig(true, false, 1));
+      SearchCatalog(query, unindexed, SearchConfig(1));
   DEPMATCH_CHECK(reference.ok());
   report.flat_bound_evaluations = reference->stats.bound_evaluations;
   report.identical = SameRanking(*reference, tiered);
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
     Result<CatalogSearchResult> mem_tiered =
-        SearchCatalog(query, catalog, SearchConfig(true, true, threads));
+        SearchCatalog(query, catalog, SearchConfig(threads));
     DEPMATCH_CHECK(mem_tiered.ok());
     if (!SameRanking(*reference, *mem_tiered)) report.identical = false;
-    Result<CatalogSearchResult> sharded = SearchShardedCatalog(
-        query, store, SearchConfig(true, true, threads));
+    Result<CatalogSearchResult> sharded =
+        SearchShardedCatalog(query, store, SearchConfig(threads));
     DEPMATCH_CHECK(sharded.ok());
     if (!SameRanking(*reference, *sharded)) report.identical = false;
   }
@@ -226,8 +228,9 @@ SizeReport RunSize(size_t entries, size_t reps, bool smoke) {
   // runs a full match per compatible entry).
   if (entries <= (smoke ? entries : size_t{1000})) {
     Result<CatalogSearchResult> brute =
-        SearchCatalog(query, catalog, SearchConfig(false, false, 1));
+        SearchCatalog(query, unindexed, SearchConfig(1, entries));
     DEPMATCH_CHECK(brute.ok());
+    if (brute->ranked.size() > kTopK) brute->ranked.resize(kTopK);
     if (!SameRanking(*reference, *brute)) report.identical = false;
     report.brute_checked = true;
   }
@@ -237,8 +240,8 @@ SizeReport RunSize(size_t entries, size_t reps, bool smoke) {
   latencies.reserve(reps);
   for (size_t rep = 0; rep < reps; ++rep) {
     latencies.push_back(TimeMs([&] {
-      Result<CatalogSearchResult> search = SearchShardedCatalog(
-          query, store, SearchConfig(true, true, fanout_threads));
+      Result<CatalogSearchResult> search =
+          SearchShardedCatalog(query, store, SearchConfig(fanout_threads));
       DEPMATCH_CHECK(search.ok());
     }));
   }

@@ -41,7 +41,8 @@
 //
 // The index is a pure acceleration structure: search results with and
 // without it are bit-identical (strict-inequality pruning against the
-// monotone shared top-k threshold, exactly like the flat prefilter).
+// monotone shared top-k threshold; a catalog without an index is
+// searched as one leaf holding every entry).
 
 #ifndef DEPMATCH_CORE_CATALOG_INDEX_H_
 #define DEPMATCH_CORE_CATALOG_INDEX_H_
@@ -122,11 +123,11 @@ class CatalogTieredIndex {
   // additionally cover the new signature's values. Coverage stays a
   // superset of every member's values — including the entry's old ones,
   // which may no longer occur — so every cluster bound still dominates
-  // and search results stay bit-identical to a flat scan; the envelopes
-  // are merely looser than a fresh Build() would produce (rebuild
-  // periodically to re-tighten). The entry keeps its slot in the
-  // feature-split order, so repeated updates can also degrade balance,
-  // never correctness. Returns false if `entry` is not indexed.
+  // and search results stay bit-identical to an un-indexed search; the
+  // envelopes are merely looser than a fresh Build() would produce
+  // (rebuild periodically to re-tighten). The entry keeps its slot in
+  // the feature-split order, so repeated updates can also degrade
+  // balance, never correctness. Returns false if `entry` is not indexed.
   bool UpdateEntry(size_t entry, const GraphSignature& signature,
                    const CatalogIndexOptions& options = {});
 

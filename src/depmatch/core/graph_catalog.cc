@@ -349,9 +349,7 @@ Result<CatalogSearchResult> SearchCatalogView(
   out.stats.entries_total = count;
 
   // Width compatibility is a cheap scan over the entry table (no graph
-  // loads, no bound evaluations); on the tiered path, prefix sums over
-  // the index's entry permutation let subtree pruning account for its
-  // compatible members in O(1).
+  // loads, no bound evaluations).
   std::vector<uint8_t> compatible(count, 0);
   for (size_t e = 0; e < count; ++e) {
     if (EntryCompatible(options.match.cardinality, n, view.width(e))) {
@@ -396,9 +394,10 @@ Result<CatalogSearchResult> SearchCatalogView(
     slots[e] = std::move(candidate);
   };
 
-  const bool tiered = options.use_prefilter && options.use_index &&
-                      index != nullptr && !index->empty() &&
-                      index->num_entries() == count;
+  // Without an index covering every entry the catalog is one leaf:
+  // every compatible entry is bounded up front and seeds the frontier.
+  const bool indexed = index != nullptr && !index->empty() &&
+                       index->num_entries() == count;
 
   // Candidate discovery visits entries in descending bound order. The
   // first warm_target survivors are matched inline on this thread
@@ -414,15 +413,14 @@ Result<CatalogSearchResult> SearchCatalogView(
   // — would leave the k-th best key low for the entire descent and
   // force near-total subtree expansion. A log-depth cushion lets
   // later, stronger keys displace weak ones before the threshold is
-  // locked in, at the cost of a handful of serial matches.
+  // locked in, at the cost of a handful of serial matches. A single
+  // leaf has no subtrees to expand, so it warms exactly k.
   std::vector<size_t> deferred;
   deferred.reserve(count);
   size_t warmed = 0;
-  size_t warm_target = options.use_prefilter ? options.k : 0;
-  if (tiered && warm_target > 0) {
-    size_t depth = 0;
-    for (size_t span = count; span > 1; span >>= 1) ++depth;
-    warm_target += depth;
+  size_t warm_target = options.k;
+  if (indexed) {
+    for (size_t span = count; span > 1; span >>= 1) ++warm_target;
   }
   bool failed = false;
   auto warm_or_defer = [&](size_t e) {
@@ -435,119 +433,99 @@ Result<CatalogSearchResult> SearchCatalogView(
     deferred.push_back(e);
   };
 
-  if (tiered) {
-    // Best-first branch-and-bound over the tiered index: a max-heap of
-    // subtrees and entries keyed by admissible bound. Popping an item
-    // below the (monotone) threshold proves every remaining item is
-    // below it too, so the whole frontier drains as pruned.
-    const std::vector<size_t>& order = index->entry_order();
-    std::vector<size_t> compat_prefix(count + 1, 0);
+  // Subtree bookkeeping: prefix sums over the index's entry permutation
+  // let a pruned subtree account for its compatible members in O(1).
+  const std::vector<size_t>* order = indexed ? &index->entry_order() : nullptr;
+  std::vector<size_t> compat_prefix;
+  if (indexed) {
+    compat_prefix.assign(count + 1, 0);
     for (size_t i = 0; i < count; ++i) {
       compat_prefix[i + 1] =
-          compat_prefix[i] + static_cast<size_t>(compatible[order[i]]);
+          compat_prefix[i] + static_cast<size_t>(compatible[(*order)[i]]);
     }
-    auto compatible_in = [&](const TieredIndexNode& node) {
-      return compat_prefix[node.end] - compat_prefix[node.begin];
-    };
+  }
+  auto compatible_in = [&](size_t node_id) {
+    const TieredIndexNode& node = index->node(node_id);
+    return compat_prefix[node.end] - compat_prefix[node.begin];
+  };
 
-    struct Frontier {
-      double bound;
-      bool is_entry;
-      size_t id;  // entry id when is_entry, node id otherwise
-    };
-    // priority_queue keeps the *highest* priority at top with a
-    // "lower-priority-than" comparator. Ties break deterministically:
-    // entries before subtrees, then smaller id.
-    auto lower_priority = [](const Frontier& a, const Frontier& b) {
-      if (a.bound != b.bound) return a.bound < b.bound;
-      if (a.is_entry != b.is_entry) return b.is_entry;
-      return a.id > b.id;
-    };
-    std::priority_queue<Frontier, std::vector<Frontier>,
-                        decltype(lower_priority)>
-        frontier(lower_priority);
-    if (compatible_in(index->node(index->root())) > 0) {
-      ++out.stats.cluster_bound_evaluations;
-      frontier.push({index->ClusterBound(index->root(), query_signature,
-                                         metric, options.match.cardinality),
-                     false, index->root()});
-    }
-    while (!frontier.empty() && !failed) {
-      Frontier item = frontier.top();
-      // Strict <: a bound that ties the k-th best key is never pruned,
-      // so boundary ties resolve identically at every thread count and
-      // with or without the index.
-      if (item.bound < shared.Threshold()) {
-        while (!frontier.empty()) {
-          Frontier rest = frontier.top();
-          frontier.pop();
-          if (rest.is_entry) {
-            pruned[rest.id] = 1;
-          } else {
-            const TieredIndexNode& node = index->node(rest.id);
-            for (size_t i = node.begin; i < node.end; ++i) {
-              if (compatible[order[i]] != 0) pruned[order[i]] = 1;
-            }
-          }
-        }
-        break;
-      }
-      frontier.pop();
-      if (item.is_entry) {
-        bounds[item.id] = item.bound;
-        warm_or_defer(item.id);
-        continue;
-      }
-      const TieredIndexNode& node = index->node(item.id);
-      if (node.left < 0) {
-        for (size_t i = node.begin; i < node.end; ++i) {
-          size_t e = order[i];
-          if (compatible[e] == 0) continue;
-          ++out.stats.bound_evaluations;
-          frontier.push({CatalogEntryBound(query_signature, view.signature(e),
-                                           metric, options.match.cardinality),
-                         true, e});
-        }
-      } else {
-        for (int64_t child : {node.left, node.right}) {
-          size_t child_id = static_cast<size_t>(child);
-          if (compatible_in(index->node(child_id)) == 0) continue;
-          ++out.stats.cluster_bound_evaluations;
-          frontier.push({index->ClusterBound(child_id, query_signature, metric,
-                                             options.match.cardinality),
-                         false, child_id});
-        }
-      }
-    }
-  } else {
-    // Flat pass: bound every compatible entry, then visit in descending
-    // bound order. Highest bound first means the most promising entries
-    // complete earliest and lift the shared threshold fastest.
-    std::vector<size_t> candidates;
-    candidates.reserve(count);
+  // Best-first branch-and-bound: a max-heap of subtrees and entries
+  // keyed by admissible bound. Popping an item below the (monotone)
+  // threshold proves every remaining item is below it too, so the whole
+  // frontier drains as pruned.
+  struct Frontier {
+    double bound;
+    bool is_entry;
+    size_t id;  // entry id when is_entry, node id otherwise
+  };
+  // The heap keeps the *highest* priority at the front with a
+  // "lower-priority-than" comparator. Ties break deterministically:
+  // entries before subtrees, then smaller id.
+  auto lower_priority = [](const Frontier& a, const Frontier& b) {
+    if (a.bound != b.bound) return a.bound < b.bound;
+    if (a.is_entry != b.is_entry) return b.is_entry;
+    return a.id > b.id;
+  };
+  std::vector<Frontier> frontier;
+  auto push = [&](Frontier item) {
+    frontier.push_back(item);
+    std::push_heap(frontier.begin(), frontier.end(), lower_priority);
+  };
+  auto push_entry = [&](size_t e) {
+    ++out.stats.bound_evaluations;
+    push({CatalogEntryBound(query_signature, view.signature(e), metric,
+                            options.match.cardinality),
+          true, e});
+  };
+  auto push_node = [&](size_t node_id) {
+    ++out.stats.cluster_bound_evaluations;
+    push({index->ClusterBound(node_id, query_signature, metric,
+                              options.match.cardinality),
+          false, node_id});
+  };
+  if (!indexed) {
     for (size_t e = 0; e < count; ++e) {
-      if (compatible[e] == 0) continue;
-      if (options.use_prefilter) {
-        ++out.stats.bound_evaluations;
-        bounds[e] = CatalogEntryBound(query_signature, view.signature(e),
-                                      metric, options.match.cardinality);
-      } else {
-        bounds[e] = kInf;
-      }
-      candidates.push_back(e);
+      if (compatible[e] != 0) push_entry(e);
     }
-    std::stable_sort(candidates.begin(), candidates.end(),
-                     [&bounds](size_t a, size_t b) {
-                       if (bounds[a] != bounds[b]) return bounds[a] > bounds[b];
-                       return a < b;
-                     });
-    for (size_t e : candidates) {
-      if (failed) break;
-      if (options.use_prefilter && bounds[e] < shared.Threshold()) {
-        pruned[e] = 1;
-        continue;
+  } else if (compatible_in(index->root()) > 0) {
+    push_node(index->root());
+  }
+
+  while (!frontier.empty() && !failed) {
+    std::pop_heap(frontier.begin(), frontier.end(), lower_priority);
+    const Frontier item = frontier.back();
+    // Strict <: a bound that ties the k-th best key is never pruned, so
+    // boundary ties resolve identically at every thread count and with
+    // or without the index.
+    if (item.bound < shared.Threshold()) {
+      for (const Frontier& rest : frontier) {
+        if (rest.is_entry) {
+          pruned[rest.id] = 1;
+          continue;
+        }
+        const TieredIndexNode& node = index->node(rest.id);
+        for (size_t i = node.begin; i < node.end; ++i) {
+          if (compatible[(*order)[i]] != 0) pruned[(*order)[i]] = 1;
+        }
       }
-      warm_or_defer(e);
+      break;
+    }
+    frontier.pop_back();
+    if (item.is_entry) {
+      bounds[item.id] = item.bound;
+      warm_or_defer(item.id);
+      continue;
+    }
+    const TieredIndexNode& node = index->node(item.id);
+    if (node.left < 0) {
+      for (size_t i = node.begin; i < node.end; ++i) {
+        if (compatible[(*order)[i]] != 0) push_entry((*order)[i]);
+      }
+    } else {
+      for (int64_t child : {node.left, node.right}) {
+        size_t child_id = static_cast<size_t>(child);
+        if (compatible_in(child_id) > 0) push_node(child_id);
+      }
     }
   }
 
@@ -565,7 +543,7 @@ Result<CatalogSearchResult> SearchCatalogView(
           size_t e = deferred[i];
           // Strict <, as above. The threshold only grows, so a stale
           // read can only under-prune.
-          if (options.use_prefilter && bounds[e] < shared.Threshold()) {
+          if (bounds[e] < shared.Threshold()) {
             pruned[e] = 1;
             return;
           }

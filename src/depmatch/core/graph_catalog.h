@@ -24,12 +24,15 @@
 //     envelope bound dominates every member's entry bound, so the
 //     search prunes whole subtrees with one evaluation and the number
 //     of bound evaluations per query grows sublinearly in the corpus;
-//   * SearchCatalog(): best-first descent over the index (or a sorted
-//     flat pass without one), a serial warm-up that establishes the
-//     top-k threshold before fanning surviving candidates across the
-//     ThreadPool, and a shared atomic score threshold for cross-entry
-//     pruning — returning a deterministic top-k ranking that is
-//     bit-identical at any thread count, with or without the index.
+//   * SearchCatalog(): one best-first descent over the index (a
+//     catalog without one is searched as a single leaf holding every
+//     entry), a serial warm-up that establishes the top-k threshold
+//     before fanning surviving candidates across the ThreadPool, and a
+//     shared atomic score threshold for cross-entry pruning — returning
+//     a deterministic top-k ranking that is bit-identical at any thread
+//     count, with or without the index. A search with k = size() never
+//     prunes (the threshold stays at -inf until every compatible entry
+//     has been matched), which makes it the brute-force reference.
 //
 // The 100K-entry, open-without-loading-graphs shape of the same catalog
 // lives in core/sharded_store.h; both front ends share this module's
@@ -87,8 +90,8 @@ class GraphCatalog {
   // recomputed, and a built tiered index is kept live by widening the
   // entry's root-to-leaf envelope path (CatalogTieredIndex::UpdateEntry)
   // instead of being invalidated — searches through the updated catalog
-  // stay bit-identical to a flat scan over the updated entries. Fails
-  // with NotFound when no entry has `name`.
+  // stay bit-identical to an un-indexed search of the updated entries.
+  // Fails with NotFound when no entry has `name`.
   Status UpdateEntry(std::string_view name, DependencyGraph graph,
                      const CatalogIndexOptions& index_options = {});
 
@@ -104,8 +107,7 @@ class GraphCatalog {
   Result<size_t> Find(std::string_view name) const;
 
   // (Re)builds the tiered index over the current entries. O(N log N)
-  // and deterministic; SearchCatalog uses it automatically when present
-  // (CatalogSearchOptions::use_index).
+  // and deterministic; SearchCatalog descends it whenever present.
   void BuildIndex(const CatalogIndexOptions& options = {});
   // The built index, or nullptr if absent / invalidated by Insert.
   const CatalogTieredIndex* index() const {
@@ -149,15 +151,6 @@ struct CatalogSearchOptions {
   // match.num_threads at 1 when fanning entries out with num_threads
   // below, or the two levels multiply).
   MatchOptions match;
-  // Signature-based admissible prefilter. Disabling it forces a full
-  // GraphMatch per compatible entry (the brute-force baseline); results
-  // are identical either way.
-  bool use_prefilter = true;
-  // Descend the catalog's tiered index when one has been built
-  // (GraphCatalog::BuildIndex). Requires use_prefilter; results are
-  // identical with or without it — the index only changes how many
-  // bound evaluations the search performs.
-  bool use_index = true;
   // Worker threads for the catalog-level fan-out (1 = serial). The
   // returned ranking is bit-identical at any value.
   size_t num_threads = 1;
@@ -195,7 +188,7 @@ struct CatalogSearchStats {
   // grows sublinearly in the corpus size; without it, it is the number
   // of compatible entries.
   size_t bound_evaluations = 0;
-  // Tiered-index envelope bound evaluations (0 on the flat path).
+  // Tiered-index envelope bound evaluations (0 without an index).
   size_t cluster_bound_evaluations = 0;
 };
 
@@ -237,18 +230,18 @@ class CatalogEntryView {
 };
 
 // Ranks the view's entries by their best GraphMatch against `query`,
-// descending `index` when non-null (see CatalogSearchOptions). Entries
-// incompatible with options.match.cardinality (one-to-one with a
-// different width, onto with a narrower entry) are skipped. Any
-// search-backend or materialization error aborts the whole call with
-// that entry's status.
+// descending `index` when it covers every entry of the view and
+// treating the view as one leaf otherwise. Entries incompatible with
+// options.match.cardinality (one-to-one with a different width, onto
+// with a narrower entry) are skipped. Any search-backend or
+// materialization error aborts the whole call with that entry's status.
 Result<CatalogSearchResult> SearchCatalogView(const DependencyGraph& query,
                                               const CatalogEntryView& view,
                                               const CatalogTieredIndex* index,
                                               const CatalogSearchOptions& options);
 
 // SearchCatalogView over a GraphCatalog, using its tiered index when
-// built and options.use_index allows.
+// built.
 Result<CatalogSearchResult> SearchCatalog(const DependencyGraph& query,
                                           const GraphCatalog& catalog,
                                           const CatalogSearchOptions& options);

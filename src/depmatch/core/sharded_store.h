@@ -115,9 +115,10 @@ class ShardedCatalogStore {
 };
 
 // SearchCatalogView over a sharded store (EnsureMetadata is run first;
-// its failure is returned as the search error). Uses the store's
-// persisted tiered index under options.use_index, exactly like
-// SearchCatalog uses an in-memory one.
+// its failure is returned as the search error). Descends the store's
+// persisted tiered index, exactly like SearchCatalog descends an
+// in-memory one; a store written without an index is searched as one
+// leaf.
 Result<CatalogSearchResult> SearchShardedCatalog(
     const DependencyGraph& query, const ShardedCatalogStore& store,
     const CatalogSearchOptions& options);

@@ -6,6 +6,7 @@
 // accumulation (std::reduce, atomic floating adds, OpenMP reductions).
 #include "depmatch/graph/graph_io.h"
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <bit>
@@ -132,6 +133,19 @@ Status WriteStringToFile(const std::string& path, std::string_view data) {
     std::remove(tmp.c_str());
     return InternalError(
         StrFormat("cannot rename %s to %s", tmp.c_str(), path.c_str()));
+  }
+  // The rename lives in the parent directory's entries: sync those too,
+  // or a crash can still roll the directory back to the old file.
+  const size_t slash = path.rfind('/');
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0               ? "/"
+                                                     : path.substr(0, slash);
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  const bool synced = dir_fd >= 0 && ::fsync(dir_fd) == 0;
+  if (dir_fd >= 0) ::close(dir_fd);
+  if (!synced) {
+    return InternalError(StrFormat("cannot sync directory %s after writing %s",
+                                   dir.c_str(), path.c_str()));
   }
   return OkStatus();
 }

@@ -69,9 +69,11 @@ uint32_t Crc32(std::string_view bytes);
 // Binary whole-file I/O with Status-based error reporting (NotFound for
 // an unopenable path, Internal for short writes/reads).
 Status ReadFileToString(const std::string& path, std::string* out);
-// Crash-atomic: writes `path + ".tmp"`, fsyncs it and renames it over
-// `path`. On any failure the temp file is removed and `path` keeps its
-// previous contents.
+// Crash-atomic: writes `path + ".tmp"`, fsyncs it, renames it over
+// `path` and fsyncs the parent directory so the rename itself is
+// durable. A failure before the rename removes the temp file and leaves
+// `path` with its previous contents; a failed directory fsync (after
+// the rename) is reported as Internal.
 Status WriteStringToFile(const std::string& path, std::string_view data);
 
 }  // namespace graphio

@@ -49,13 +49,10 @@ Response MakeStatusResponse(const Request& request, const Status& status) {
 // comes from the pool workers each running one request, and
 // SearchCatalog is bit-identical at any thread count, so the direct
 // re-execution in tests may pick any value.
-CatalogSearchOptions ResolveSearchOptions(const SearchRequest& search,
-                                          const ServiceOptions& service) {
+CatalogSearchOptions ResolveSearchOptions(const SearchRequest& search) {
   CatalogSearchOptions options;
   options.k = static_cast<size_t>(search.k);
   options.match = search.options.ToMatchOptions(1);
-  options.use_prefilter = service.use_prefilter;
-  options.use_index = service.use_index;
   options.num_threads = 1;
   return options;
 }
@@ -64,8 +61,8 @@ CatalogSearchOptions ResolveSearchOptions(const SearchRequest& search,
 
 MatchService::MatchService(GraphCatalog catalog, ServiceOptions options)
     : options_(Sanitize(std::move(options))), pool_(options_.num_threads) {
-  std::shared_ptr<const ServiceSnapshot> first = MakeServiceSnapshot(
-      1, std::move(catalog), options_.build_index, options_.index);
+  std::shared_ptr<const ServiceSnapshot> first =
+      MakeServiceSnapshot(1, std::move(catalog), options_.index);
   {
     std::lock_guard<std::mutex> lock(mu_);
     snapshot_ = std::move(first);
@@ -317,9 +314,9 @@ Response MatchService::ExecuteMatchDirect(const Request& request,
   return response;
 }
 
-Response MatchService::ExecuteSearchDirect(const Request& request,
-                                           const ServiceSnapshot& snapshot,
-                                           const ServiceOptions& options) {
+Response MatchService::ExecuteSearchDirect(
+    const Request& request, const ServiceSnapshot& snapshot,
+    const ServiceOptions& /*options*/) {
   Response response;
   response.request_id = request.request_id;
   response.type = RequestType::kSearch;
@@ -346,13 +343,16 @@ Response MatchService::ExecuteSearchDirect(const Request& request,
   }
 
   Result<CatalogSearchResult> searched = SearchCatalog(
-      *query, snapshot.catalog, ResolveSearchOptions(request.search, options));
+      *query, snapshot.catalog, ResolveSearchOptions(request.search));
   if (!searched.ok()) return MakeStatusResponse(request, searched.status());
 
   response.search.snapshot_version = snapshot.version;
   response.search.entries_total = searched->stats.entries_total;
   response.search.entries_searched = searched->stats.entries_searched;
   response.search.entries_pruned = searched->stats.entries_pruned;
+  response.search.bound_evaluations = searched->stats.bound_evaluations;
+  response.search.cluster_bound_evaluations =
+      searched->stats.cluster_bound_evaluations;
   response.search.hits.reserve(searched->ranked.size());
   for (const CatalogMatch& match : searched->ranked) {
     SearchHit hit;
@@ -407,22 +407,18 @@ Response MatchService::ExecuteInsert(const Request& request,
   // outside any lock, while readers keep serving the current snapshot.
   // A replacement goes through UpdateEntry, which keeps the copied
   // tiered index live by widening the entry's envelope path, so search
-  // stays bit-identical to a flat scan (core/catalog_index.h's
-  // widen-only contract); a new entry re-indexes.
+  // stays bit-identical to an un-indexed search (core/catalog_index.h's
+  // widen-only contract); a new entry's Insert clears the index, and
+  // MakeServiceSnapshot rebuilds it.
   GraphCatalog next = current.catalog;
-  std::shared_ptr<const ServiceSnapshot> published;
-  if (replaced) {
-    Status updated =
-        next.UpdateEntry(request.insert.name, std::move(graph), options_.index);
-    if (!updated.ok()) return MakeStatusResponse(request, updated);
-    published = MakeServiceSnapshotPreservingIndex(current.version + 1,
-                                                   std::move(next));
-  } else {
-    Status inserted = next.Insert(request.insert.name, std::move(graph));
-    if (!inserted.ok()) return MakeStatusResponse(request, inserted);
-    published = MakeServiceSnapshot(current.version + 1, std::move(next),
-                                    options_.build_index, options_.index);
-  }
+  Status changed =
+      replaced
+          ? next.UpdateEntry(request.insert.name, std::move(graph),
+                             options_.index)
+          : next.Insert(request.insert.name, std::move(graph));
+  if (!changed.ok()) return MakeStatusResponse(request, changed);
+  std::shared_ptr<const ServiceSnapshot> published =
+      MakeServiceSnapshot(current.version + 1, std::move(next), options_.index);
   response.insert.snapshot_version = published->version;
   response.insert.catalog_entries = published->catalog.size();
   response.insert.replaced = replaced;
@@ -471,20 +467,20 @@ Response MatchService::ExecuteAppend(const Request& request,
   Result<DependencyGraph> refreshed = builder.Refresh();
   if (!refreshed.ok()) return MakeStatusResponse(request, refreshed.status());
 
-  // Copy-on-write publication, but cheaper than an insert's: copying
-  // the catalog carries its tiered index along, UpdateEntry widens just
-  // the refreshed entry's root-to-leaf envelope path, and the
-  // index-preserving snapshot maker skips the O(N log N) re-index
-  // entirely. Search against the widened index stays bit-identical to a
-  // flat scan (core/catalog_index.h's widen-only contract).
+  // Copy-on-write publication, but cheaper than a new entry's insert:
+  // copying the catalog carries its tiered index along, UpdateEntry
+  // widens just the refreshed entry's root-to-leaf envelope path, and
+  // MakeServiceSnapshot finds the index present and skips the
+  // O(N log N) re-index entirely. Search against the widened index
+  // stays bit-identical to an un-indexed search (core/catalog_index.h's
+  // widen-only contract).
   GraphCatalog next = current.catalog;
   Status updated = next.UpdateEntry(request.append.name, *std::move(refreshed),
                                     options_.index);
   if (!updated.ok()) return MakeStatusResponse(request, updated);
 
   std::shared_ptr<const ServiceSnapshot> published =
-      MakeServiceSnapshotPreservingIndex(current.version + 1,
-                                         std::move(next));
+      MakeServiceSnapshot(current.version + 1, std::move(next), options_.index);
   response.append.snapshot_version = published->version;
   response.append.catalog_entries = published->catalog.size();
   response.append.rows_total = builder.rows();

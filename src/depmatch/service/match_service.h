@@ -75,13 +75,8 @@ struct ServiceOptions {
   size_t max_queue = 64;
   // Deadline applied when a request carries none (0 = unlimited).
   uint64_t default_deadline_ms = 0;
-  // Build the tiered index into every published snapshot.
-  bool build_index = true;
+  // Shape of the tiered index every published snapshot carries.
   CatalogIndexOptions index;
-  // Catalog fan-out knobs forwarded to SearchCatalog (results are
-  // bit-identical regardless; these only affect speed).
-  bool use_prefilter = true;
-  bool use_index = true;
   // StatCache recycling: the cache is cleared before an execution that
   // would grow it past this many column entries. Inline tables arrive
   // as fresh snapshots (each gets a new table id), so without a bound
@@ -136,7 +131,9 @@ class MatchService {
 
   // The direct-call equivalents of the served execution paths, exposed
   // so benches and the stress suite can reproduce a response
-  // bit-identically from the snapshot named in it.
+  // bit-identically from the snapshot named in it. ExecuteSearchDirect
+  // ignores `options`: no ServiceOptions field changes a search
+  // response.
   static Response ExecuteMatchDirect(const Request& request,
                                      StatCache* stat_cache);
   static Response ExecuteSearchDirect(const Request& request,

@@ -578,6 +578,8 @@ std::string EncodeResponse(const Response& response) {
         AppendU64(&body, search.entries_total);
         AppendU64(&body, search.entries_searched);
         AppendU64(&body, search.entries_pruned);
+        AppendU64(&body, search.bound_evaluations);
+        AppendU64(&body, search.cluster_bound_evaluations);
         AppendU64(&body, search.hits.size());
         for (const SearchHit& hit : search.hits) {
           AppendString(&body, hit.name);
@@ -677,6 +679,8 @@ Result<Response> DecodeResponse(std::string_view frame) {
             !ReadU64(bytes, &cursor, &search.entries_total) ||
             !ReadU64(bytes, &cursor, &search.entries_searched) ||
             !ReadU64(bytes, &cursor, &search.entries_pruned) ||
+            !ReadU64(bytes, &cursor, &search.bound_evaluations) ||
+            !ReadU64(bytes, &cursor, &search.cluster_bound_evaluations) ||
             !ReadU64(bytes, &cursor, &count)) {
           return Malformed("truncated search payload");
         }

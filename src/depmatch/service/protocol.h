@@ -10,8 +10,10 @@
 // graphio:: primitives this module reuses):
 //
 //   bytes 0..3   magic "DMR1" (request) / "DMP1" (response)
-//   u32          protocol version (currently 2; version 2 dropped the
-//                two micro-batch counters from the stats payload)
+//   u32          protocol version (currently 3; version 2 dropped the
+//                two micro-batch counters from the stats payload,
+//                version 3 added the two bound-evaluation counters to
+//                the search payload)
 //   u64          body length in bytes
 //   body         type-specific payload (below)
 //   u32          CRC-32 of every preceding byte (magic included)
@@ -64,7 +66,7 @@ namespace service {
 
 inline constexpr std::string_view kRequestMagic = "DMR1";
 inline constexpr std::string_view kResponseMagic = "DMP1";
-inline constexpr uint32_t kProtocolVersion = 2;
+inline constexpr uint32_t kProtocolVersion = 3;
 // magic (4) + version (4) + body length (8).
 inline constexpr size_t kFrameHeaderBytes = 16;
 inline constexpr size_t kFrameTrailerBytes = 4;  // CRC-32
@@ -210,6 +212,10 @@ struct SearchResponse {
   uint64_t entries_total = 0;
   uint64_t entries_searched = 0;
   uint64_t entries_pruned = 0;
+  // How the search got there (CatalogSearchStats): per-entry and
+  // tiered-index envelope bound evaluations.
+  uint64_t bound_evaluations = 0;
+  uint64_t cluster_bound_evaluations = 0;
 };
 
 struct InsertResponse {

@@ -7,24 +7,14 @@ namespace depmatch {
 namespace service {
 
 std::shared_ptr<const ServiceSnapshot> MakeServiceSnapshot(
-    uint64_t version, GraphCatalog catalog, bool build_index,
+    uint64_t version, GraphCatalog catalog,
     const CatalogIndexOptions& index_options) {
   auto snapshot = std::make_shared<ServiceSnapshot>();
   snapshot->version = version;
   snapshot->catalog = std::move(catalog);
-  if (build_index && !snapshot->catalog.empty()) {
+  if (!snapshot->catalog.empty() && snapshot->catalog.index() == nullptr) {
     snapshot->catalog.BuildIndex(index_options);
-    snapshot->index_built = true;
   }
-  return snapshot;
-}
-
-std::shared_ptr<const ServiceSnapshot> MakeServiceSnapshotPreservingIndex(
-    uint64_t version, GraphCatalog catalog) {
-  auto snapshot = std::make_shared<ServiceSnapshot>();
-  snapshot->version = version;
-  snapshot->catalog = std::move(catalog);
-  snapshot->index_built = snapshot->catalog.index() != nullptr;
   return snapshot;
 }
 

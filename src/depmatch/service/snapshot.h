@@ -9,7 +9,7 @@
 // it for its whole lifetime, so readers never block on writers and a
 // response can name exactly the catalog state it was computed on
 // (SearchResponse::snapshot_version). A write builds a *new* snapshot
-// — copy, apply, re-index when needed, all outside any lock — and swaps
+// — copy, apply, index when needed, all outside any lock — and swaps
 // the published pointer; in-flight requests keep the old snapshot alive
 // through their shared_ptr until they finish. The copy shares every
 // unchanged catalog entry with its predecessor (core/graph_catalog.h).
@@ -34,28 +34,19 @@ struct ServiceSnapshot {
   // Monotonically increasing publication counter (1 = the snapshot the
   // service started with).
   uint64_t version = 0;
-  // The catalog, with its tiered index built when index_built is set.
+  // The catalog; a non-empty one always carries its tiered index.
   GraphCatalog catalog;
-  bool index_built = false;
 };
 
 // Wraps `catalog` into an immutable snapshot, building the tiered index
-// first when `build_index` is set (small catalogs search fine without
-// one; the flat path is bit-identical either way).
+// only when a non-empty catalog has none. A new entry's Insert clears
+// the index, so the snapshot it publishes re-indexes; appends and
+// replace-inserts go through GraphCatalog::UpdateEntry, which keeps the
+// copied index live by widening one envelope path, so their snapshots
+// skip the O(N log N) rebuild.
 std::shared_ptr<const ServiceSnapshot> MakeServiceSnapshot(
-    uint64_t version, GraphCatalog catalog, bool build_index,
+    uint64_t version, GraphCatalog catalog,
     const CatalogIndexOptions& index_options = {});
-
-// Wraps an already-prepared catalog into a snapshot as-is, WITHOUT
-// rebuilding the tiered index: index_built reflects whatever index the
-// catalog carries. This is the publication path of appends and of
-// inserts that replace an entry — the writing worker copies the current
-// catalog (index included), refreshes one entry in place
-// (GraphCatalog::UpdateEntry keeps the index live by widening its
-// envelope path), and publishes without the O(N log N) re-index a full
-// MakeServiceSnapshot would pay.
-std::shared_ptr<const ServiceSnapshot> MakeServiceSnapshotPreservingIndex(
-    uint64_t version, GraphCatalog catalog);
 
 }  // namespace service
 }  // namespace depmatch

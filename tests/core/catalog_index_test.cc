@@ -58,6 +58,15 @@ GraphCatalog DegenerateMixedCatalog(uint64_t seed, size_t entries) {
   return catalog;
 }
 
+// The same entries without a tiered index: searched as one leaf.
+GraphCatalog Unindexed(const GraphCatalog& catalog) {
+  GraphCatalog twin;
+  for (size_t e = 0; e < catalog.size(); ++e) {
+    EXPECT_TRUE(twin.Insert(catalog.name(e), catalog.graph(e)).ok());
+  }
+  return twin;
+}
+
 void ExpectSameRanking(const CatalogSearchResult& base,
                        const CatalogSearchResult& other, const char* what) {
   ASSERT_EQ(other.ranked.size(), base.ranked.size()) << what;
@@ -135,8 +144,8 @@ TEST(CatalogIndexTest, BuildProducesAValidTreeOverThePermutation) {
 TEST(CatalogIndexTest, ClusterBoundDominatesEveryMemberEntryBound) {
   // The heart of the bit-identity argument: for every node of the tree,
   // the cluster bound must not undercut any member's per-entry bound —
-  // otherwise a subtree prune could drop an entry the flat prefilter
-  // would have searched. Certified across every metric x cardinality
+  // otherwise a subtree prune could drop an entry an un-indexed search
+  // would have matched. Certified across every metric x cardinality
   // mode, over a catalog that includes empty and single-node members.
   const MetricKind kKinds[] = {
       MetricKind::kMutualInfoEuclidean, MetricKind::kMutualInfoNormal,
@@ -331,7 +340,7 @@ TEST(CatalogIndexTest, FromPartsRejectsStructurallyInvalidInput) {
 }
 
 TEST(CatalogIndexTest, TieredSearchIsBitIdenticalAndEvaluatesFewerBounds) {
-  GraphCatalog catalog;
+  GraphCatalog flat_catalog;
   GraphCorpusOptions corpus;
   corpus.seed = 41;
   corpus.query_width = 6;
@@ -340,10 +349,8 @@ TEST(CatalogIndexTest, TieredSearchIsBitIdenticalAndEvaluatesFewerBounds) {
   const size_t kEntries = 400;
   for (size_t e = 0; e < kEntries; ++e) {
     ASSERT_TRUE(
-        catalog.Insert(CorpusEntryName(e), CorpusEntry(corpus, e)).ok());
+        flat_catalog.Insert(CorpusEntryName(e), CorpusEntry(corpus, e)).ok());
   }
-  catalog.BuildIndex();
-  ASSERT_NE(catalog.index(), nullptr);
   DependencyGraph query = CorpusQuery(corpus);
 
   CatalogSearchOptions options;
@@ -351,36 +358,52 @@ TEST(CatalogIndexTest, TieredSearchIsBitIdenticalAndEvaluatesFewerBounds) {
   options.match.cardinality = Cardinality::kOnto;
   options.match.metric = MetricKind::kMutualInfoNormal;
   options.match.algorithm = MatchAlgorithm::kGreedy;
-  options.use_index = false;
-  auto flat = SearchCatalog(query, catalog, options);
+  auto flat = SearchCatalog(query, flat_catalog, options);
   ASSERT_TRUE(flat.ok()) << flat.status();
   EXPECT_EQ(flat->stats.cluster_bound_evaluations, 0u);
-  // Flat prefilter bounds every compatible entry.
+  // Without an index the catalog is one leaf: every compatible entry is
+  // bounded.
   EXPECT_EQ(flat->stats.bound_evaluations,
             flat->stats.entries_total - flat->stats.entries_incompatible);
 
-  options.use_index = true;
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    options.num_threads = threads;
-    auto tiered = SearchCatalog(query, catalog, options);
-    ASSERT_TRUE(tiered.ok()) << tiered.status();
-    ExpectSameRanking(*flat, *tiered, "tiered vs flat");
-    EXPECT_EQ(tiered->stats.entries_searched + tiered->stats.entries_pruned +
-                  tiered->stats.entries_incompatible,
-              tiered->stats.entries_total);
-    EXPECT_GT(tiered->stats.cluster_bound_evaluations, 0u);
-    // The point of the tree: far fewer per-entry bound evaluations than
-    // the flat pass (cluster evaluations included in the comparison).
-    EXPECT_LT(tiered->stats.bound_evaluations +
-                  tiered->stats.cluster_bound_evaluations,
-              flat->stats.bound_evaluations / 2);
+  // Leaf size 1 is the deepest tree; leaf size >= N is a one-leaf tree.
+  for (size_t leaf_size : {size_t{1}, size_t{8}, kEntries}) {
+    SCOPED_TRACE(leaf_size);
+    GraphCatalog catalog = flat_catalog;
+    CatalogIndexOptions index_options;
+    index_options.leaf_size = leaf_size;
+    catalog.BuildIndex(index_options);
+    ASSERT_NE(catalog.index(), nullptr);
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+      options.num_threads = threads;
+      auto tiered = SearchCatalog(query, catalog, options);
+      ASSERT_TRUE(tiered.ok()) << tiered.status();
+      ExpectSameRanking(*flat, *tiered, "tiered vs flat");
+      EXPECT_EQ(tiered->stats.entries_searched +
+                    tiered->stats.entries_pruned +
+                    tiered->stats.entries_incompatible,
+                tiered->stats.entries_total);
+      EXPECT_GT(tiered->stats.cluster_bound_evaluations, 0u);
+      if (leaf_size >= kEntries) {
+        // One leaf: the root's envelope, then every compatible entry.
+        EXPECT_EQ(tiered->stats.cluster_bound_evaluations, 1u);
+        EXPECT_EQ(tiered->stats.bound_evaluations,
+                  flat->stats.bound_evaluations);
+        continue;
+      }
+      // The point of the tree: far fewer per-entry bound evaluations
+      // than the one-leaf pass (cluster evaluations included in the
+      // comparison).
+      EXPECT_LT(tiered->stats.bound_evaluations +
+                    tiered->stats.cluster_bound_evaluations,
+                flat->stats.bound_evaluations / 2);
+    }
   }
 }
 
 TEST(CatalogIndexTest, TenThousandEntryCorpusIdentityAcrossThreadsAndStores) {
-  // The ISSUE acceptance gate: on a >= 10K synthetic corpus, the
-  // tiered + sharded search returns the flat brute-force scan's top-k
-  // bit-for-bit at 1, 2, and 8 threads.
+  // On a >= 10K synthetic corpus, the tiered + sharded search returns
+  // the brute-force top-k bit-for-bit at 1, 2, and 8 threads.
   GraphCorpusOptions corpus;
   corpus.seed = 57;
   corpus.query_width = 6;
@@ -410,17 +433,18 @@ TEST(CatalogIndexTest, TenThousandEntryCorpusIdentityAcrossThreadsAndStores) {
   options.match.metric = MetricKind::kMutualInfoNormal;
   options.match.algorithm = MatchAlgorithm::kGreedy;
 
-  // Brute force: no prefilter, no index — a full match per compatible
-  // entry.
-  options.use_prefilter = false;
-  options.use_index = false;
-  options.num_threads = 1;
-  auto brute = SearchCatalog(query, catalog, options);
+  // Brute force: a k = N search over the un-indexed twin never prunes
+  // (the threshold stays at -inf until every compatible entry has been
+  // matched), so it runs a full match per compatible entry.
+  CatalogSearchOptions reference_options = options;
+  reference_options.k = kEntries;
+  auto brute = SearchCatalog(query, Unindexed(catalog), reference_options);
   ASSERT_TRUE(brute.ok()) << brute.status();
   EXPECT_EQ(brute->stats.entries_pruned, 0u);
+  EXPECT_EQ(brute->stats.entries_searched + brute->stats.entries_incompatible,
+            brute->stats.entries_total);
+  brute->ranked.resize(std::min(brute->ranked.size(), options.k));
 
-  options.use_prefilter = true;
-  options.use_index = true;
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
     options.num_threads = threads;
     auto tiered = SearchCatalog(query, catalog, options);

@@ -50,6 +50,35 @@ GraphCatalog MixedCatalog(uint64_t seed, size_t entries) {
   return catalog;
 }
 
+// The same entries without a tiered index: searched as one leaf.
+GraphCatalog Unindexed(const GraphCatalog& catalog) {
+  GraphCatalog twin;
+  for (size_t e = 0; e < catalog.size(); ++e) {
+    EXPECT_TRUE(twin.Insert(catalog.name(e), catalog.graph(e)).ok());
+  }
+  return twin;
+}
+
+// Brute-force reference: a k = size() search never prunes (the
+// threshold stays at -inf until every compatible entry has finished),
+// so it matches every compatible entry; truncated to options.k.
+CatalogSearchResult ReferenceSearch(const DependencyGraph& query,
+                                    const GraphCatalog& catalog,
+                                    CatalogSearchOptions options) {
+  const size_t k = options.k;
+  options.k = catalog.size();
+  options.num_threads = 1;
+  auto reference = SearchCatalog(query, Unindexed(catalog), options);
+  EXPECT_TRUE(reference.ok()) << reference.status();
+  if (!reference.ok()) return {};
+  EXPECT_EQ(reference->stats.entries_pruned, 0u);
+  EXPECT_EQ(reference->stats.entries_searched +
+                reference->stats.entries_incompatible,
+            reference->stats.entries_total);
+  if (reference->ranked.size() > k) reference->ranked.resize(k);
+  return *std::move(reference);
+}
+
 void ExpectSameRanking(const CatalogSearchResult& base,
                        const CatalogSearchResult& other, const char* what) {
   ASSERT_EQ(other.ranked.size(), base.ranked.size()) << what;
@@ -119,17 +148,16 @@ TEST(GraphCatalogTest, UpdateEntryKeepsIndexLiveAndSearchBitIdentical) {
   }
 
   // The widened index is a pure acceleration structure still: indexed
-  // search through the updated catalog is bit-identical to the flat
-  // scan, at several thread counts.
+  // search through the updated catalog is bit-identical to searching
+  // the same entries without an index, at several thread counts.
   DependencyGraph query = RandomGraph(5, 777);
   CatalogSearchOptions options;
   options.k = 4;
   options.match.cardinality = Cardinality::kOnto;
   options.match.metric = MetricKind::kMutualInfoNormal;
-  options.use_index = false;
-  auto flat = SearchCatalog(query, catalog, options);
+  auto flat = SearchCatalog(query, Unindexed(catalog), options);
   ASSERT_TRUE(flat.ok()) << flat.status();
-  options.use_index = true;
+  EXPECT_EQ(flat->stats.cluster_bound_evaluations, 0u);
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
     options.num_threads = threads;
     auto indexed = SearchCatalog(query, catalog, options);
@@ -253,11 +281,15 @@ TEST(GraphCatalogTest, EntryBoundIsAdmissible) {
 }
 
 TEST(GraphCatalogTest, SearchMatchesBruteForceEverywhere) {
-  // Prefiltered parallel search must return exactly the brute-force
-  // all-pairs top-k, for every cardinality mode and metric direction, at
-  // every thread count.
+  // Pruned parallel search must return exactly the brute-force all-pairs
+  // top-k, for every cardinality mode and metric direction, at every
+  // thread count, with and without the tiered index.
   for (uint64_t seed = 1; seed <= 3; ++seed) {
     GraphCatalog catalog = MixedCatalog(seed, 9);
+    GraphCatalog indexed = catalog;
+    CatalogIndexOptions small_leaves;
+    small_leaves.leaf_size = 2;
+    indexed.BuildIndex(small_leaves);
     DependencyGraph query = RandomGraph(5, seed * 31);
     struct Mode {
       Cardinality cardinality;
@@ -275,26 +307,20 @@ TEST(GraphCatalogTest, SearchMatchesBruteForceEverywhere) {
       options.k = 3;
       options.match.cardinality = mode.cardinality;
       options.match.metric = mode.metric;
-      options.use_prefilter = false;
-      options.num_threads = 1;
-      auto brute = SearchCatalog(query, catalog, options);
-      ASSERT_TRUE(brute.ok()) << brute.status();
-      // Brute force evaluated every compatible entry.
-      EXPECT_EQ(brute->stats.entries_pruned, 0u);
-      EXPECT_EQ(brute->stats.entries_searched +
-                    brute->stats.entries_incompatible,
-                brute->stats.entries_total);
+      const CatalogSearchResult brute =
+          ReferenceSearch(query, catalog, options);
 
-      options.use_prefilter = true;
-      for (size_t threads : {1u, 2u, 8u}) {
-        options.num_threads = threads;
-        auto pruned = SearchCatalog(query, catalog, options);
-        ASSERT_TRUE(pruned.ok()) << pruned.status();
-        ExpectSameRanking(*brute, *pruned, "prefiltered search");
-        EXPECT_EQ(pruned->stats.entries_searched +
-                      pruned->stats.entries_pruned +
-                      pruned->stats.entries_incompatible,
-                  pruned->stats.entries_total);
+      for (const GraphCatalog* searched : {&catalog, &indexed}) {
+        for (size_t threads : {1u, 2u, 8u}) {
+          options.num_threads = threads;
+          auto pruned = SearchCatalog(query, *searched, options);
+          ASSERT_TRUE(pruned.ok()) << pruned.status();
+          ExpectSameRanking(brute, *pruned, "pruned search");
+          EXPECT_EQ(pruned->stats.entries_searched +
+                        pruned->stats.entries_pruned +
+                        pruned->stats.entries_incompatible,
+                    pruned->stats.entries_total);
+        }
       }
     }
   }

@@ -132,14 +132,19 @@ TEST(GraphIoTest, FileRoundTripAndMissingFile) {
 }
 
 TEST(GraphIoTest, WriteLeavesNoTempFileBehind) {
-  std::string path = testing::TempDir() + "/graph_io_atomic_ok.bin";
-  ASSERT_TRUE(graphio::WriteStringToFile(path, "first").ok());
-  ASSERT_TRUE(graphio::WriteStringToFile(path, "second").ok());
-  std::string bytes;
-  ASSERT_TRUE(graphio::ReadFileToString(path, &bytes).ok());
-  EXPECT_EQ(bytes, "second");
-  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
-  std::filesystem::remove(path);
+  // The bare name has no slash, so the directory synced after the
+  // rename is the working directory.
+  for (const std::string& path :
+       {testing::TempDir() + "/graph_io_atomic_ok.bin",
+        std::string("graph_io_atomic_bare.bin")}) {
+    ASSERT_TRUE(graphio::WriteStringToFile(path, "first").ok());
+    ASSERT_TRUE(graphio::WriteStringToFile(path, "second").ok());
+    std::string bytes;
+    ASSERT_TRUE(graphio::ReadFileToString(path, &bytes).ok());
+    EXPECT_EQ(bytes, "second");
+    EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+    std::filesystem::remove(path);
+  }
 }
 
 TEST(GraphIoTest, FailedWriteKeepsPreviousFile) {

@@ -248,7 +248,7 @@ TEST(ProtocolTest, AppendFrameCorruptionAndTruncationAreDetected) {
   }
 }
 
-TEST(ProtocolTest, ResponsesRoundTripBitIdentically) {
+Response MakeSearchResponse() {
   Response search;
   search.request_id = 91;
   search.status = WireStatus::kOk;
@@ -257,6 +257,8 @@ TEST(ProtocolTest, ResponsesRoundTripBitIdentically) {
   search.search.entries_total = 10;
   search.search.entries_searched = 6;
   search.search.entries_pruned = 4;
+  search.search.bound_evaluations = 8;
+  search.search.cluster_bound_evaluations = 5;
   SearchHit hit;
   hit.name = "t000001";
   hit.entry = 1;
@@ -265,6 +267,12 @@ TEST(ProtocolTest, ResponsesRoundTripBitIdentically) {
   hit.metric_value = std::numeric_limits<double>::denorm_min();
   hit.pairs = {{0, 2}, {1, 0}};
   search.search.hits.push_back(hit);
+  return search;
+}
+
+TEST(ProtocolTest, ResponsesRoundTripBitIdentically) {
+  Response search = MakeSearchResponse();
+  const SearchHit& hit = search.search.hits[0];
   auto search_decoded = DecodeResponse(EncodeResponse(search));
   ASSERT_TRUE(search_decoded.ok()) << search_decoded.status();
   ASSERT_EQ(search_decoded->search.hits.size(), 1u);
@@ -277,6 +285,11 @@ TEST(ProtocolTest, ResponsesRoundTripBitIdentically) {
                 std::numeric_limits<double>::denorm_min()));
   EXPECT_EQ(decoded_hit.pairs, hit.pairs);
   EXPECT_EQ(search_decoded->search.snapshot_version, 7u);
+  EXPECT_EQ(search_decoded->search.entries_total, 10u);
+  EXPECT_EQ(search_decoded->search.entries_searched, 6u);
+  EXPECT_EQ(search_decoded->search.entries_pruned, 4u);
+  EXPECT_EQ(search_decoded->search.bound_evaluations, 8u);
+  EXPECT_EQ(search_decoded->search.cluster_bound_evaluations, 5u);
 
   Response match;
   match.request_id = 92;
@@ -334,18 +347,24 @@ TEST(ProtocolTest, EverySingleByteRequestCorruptionIsDetected) {
 }
 
 TEST(ProtocolTest, EverySingleByteResponseCorruptionIsDetected) {
-  Response response;
-  response.request_id = 5;
-  response.type = RequestType::kInsert;
-  response.insert.snapshot_version = 2;
-  response.insert.catalog_entries = 9;
-  response.insert.replaced = true;
-  std::string frame = EncodeResponse(response);
-  for (size_t i = 0; i < frame.size(); ++i) {
-    std::string corrupted = frame;
-    corrupted[i] = static_cast<char>(corrupted[i] ^ 0x5A);
-    auto result = DecodeResponse(corrupted);
-    EXPECT_FALSE(result.ok()) << "flip at byte " << i << " went undetected";
+  Response insert;
+  insert.request_id = 5;
+  insert.type = RequestType::kInsert;
+  insert.insert.snapshot_version = 2;
+  insert.insert.catalog_entries = 9;
+  insert.insert.replaced = true;
+  for (const Response& response : {insert, MakeSearchResponse()}) {
+    std::string frame = EncodeResponse(response);
+    for (size_t i = 0; i < frame.size(); ++i) {
+      std::string corrupted = frame;
+      corrupted[i] = static_cast<char>(corrupted[i] ^ 0x5A);
+      auto result = DecodeResponse(corrupted);
+      EXPECT_FALSE(result.ok()) << "flip at byte " << i << " went undetected";
+    }
+    for (size_t keep = 0; keep < frame.size(); ++keep) {
+      EXPECT_FALSE(DecodeResponse(frame.substr(0, keep)).ok())
+          << "truncation to " << keep << " bytes accepted";
+    }
   }
 }
 
@@ -384,13 +403,16 @@ TEST(ProtocolTest, HeaderValidatesMagicVersionAndBound) {
   bad_magic[0] = 'X';
   EXPECT_FALSE(DecodeFrameHeader(bad_magic, true).ok());
 
-  // Future version.
-  std::string bad_version = header;
-  bad_version[4] = 9;
-  auto version_result = DecodeFrameHeader(bad_version, true);
-  ASSERT_FALSE(version_result.ok());
-  EXPECT_NE(version_result.status().message().find("version"),
-            std::string::npos);
+  // Future version, and the previous one (its search payload lacks the
+  // bound-evaluation counters).
+  for (char version : {char{9}, char{kProtocolVersion - 1}}) {
+    std::string bad_version = header;
+    bad_version[4] = version;
+    auto version_result = DecodeFrameHeader(bad_version, true);
+    ASSERT_FALSE(version_result.ok());
+    EXPECT_NE(version_result.status().message().find("version"),
+              std::string::npos);
+  }
 
   // Hostile body length: rejected from the 16-byte prefix alone, before
   // anything would be allocated or read.

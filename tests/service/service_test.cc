@@ -72,6 +72,13 @@ Request SearchStoredRequest(std::string name, uint64_t k,
 void ExpectBitIdenticalSearch(const Response& served,
                               const Response& direct) {
   ASSERT_EQ(served.status, direct.status);
+  // Served searches run serially, so even the search counters repeat.
+  EXPECT_EQ(served.search.entries_total, direct.search.entries_total);
+  EXPECT_EQ(served.search.entries_searched, direct.search.entries_searched);
+  EXPECT_EQ(served.search.entries_pruned, direct.search.entries_pruned);
+  EXPECT_EQ(served.search.bound_evaluations, direct.search.bound_evaluations);
+  EXPECT_EQ(served.search.cluster_bound_evaluations,
+            direct.search.cluster_bound_evaluations);
   ASSERT_EQ(served.search.hits.size(), direct.search.hits.size());
   for (size_t i = 0; i < served.search.hits.size(); ++i) {
     const SearchHit& a = served.search.hits[i];
@@ -102,6 +109,13 @@ Table ConcatRows(const Table& base, const Table& delta) {
   Result<Table> table = std::move(builder).Build();
   EXPECT_TRUE(table.ok());
   return *std::move(table);
+}
+
+// Every published snapshot searches through a tiered index covering
+// all of its entries.
+void ExpectIndexCoversCatalog(const ServiceSnapshot& snapshot) {
+  ASSERT_NE(snapshot.catalog.index(), nullptr);
+  EXPECT_EQ(snapshot.catalog.index()->num_entries(), snapshot.catalog.size());
 }
 
 void ExpectBitIdenticalGraphs(const DependencyGraph& a,
@@ -147,6 +161,8 @@ TEST(MatchServiceTest, StoredSearchIsBitIdenticalToDirectCall) {
   // A stored entry's best match is itself.
   EXPECT_EQ(served.search.hits.front().name, CorpusEntryName(1));
   EXPECT_EQ(served.search.snapshot_version, 1u);
+  ExpectIndexCoversCatalog(*service.snapshot());
+  EXPECT_GT(served.search.cluster_bound_evaluations, 0u);
 
   Response direct = MatchService::ExecuteSearchDirect(
       request, *service.snapshot(), service.options());
@@ -215,6 +231,9 @@ TEST(MatchServiceTest, InsertPublishesCopyOnWriteSnapshot) {
   ASSERT_NE(after, nullptr);
   EXPECT_EQ(after->catalog.size(), kCorpusEntries + 1);
   EXPECT_EQ(service.snapshot(), after);
+  // The new entry's Insert dropped the copied index; publication
+  // rebuilt it over every entry.
+  ExpectIndexCoversCatalog(*after);
 
   // The new entry is served from the new snapshot.
   Response search = service.Process(SearchStoredRequest("fresh_entry", 2, 7));
@@ -222,6 +241,7 @@ TEST(MatchServiceTest, InsertPublishesCopyOnWriteSnapshot) {
   EXPECT_EQ(search.search.snapshot_version, 2u);
   ASSERT_FALSE(search.search.hits.empty());
   EXPECT_EQ(search.search.hits.front().name, "fresh_entry");
+  EXPECT_GT(search.search.cluster_bound_evaluations, 0u);
 }
 
 TEST(MatchServiceTest, InsertRespectsReplaceExisting) {
@@ -246,6 +266,12 @@ TEST(MatchServiceTest, InsertRespectsReplaceExisting) {
   EXPECT_TRUE(replaced.insert.replaced);
   EXPECT_EQ(replaced.insert.snapshot_version, 2u);
   EXPECT_EQ(replaced.insert.catalog_entries, kCorpusEntries);
+  // The replacement widened the copied index in place.
+  ExpectIndexCoversCatalog(*service.snapshot());
+  Response search =
+      service.Process(SearchStoredRequest(CorpusEntryName(0), 2, 9));
+  ASSERT_EQ(search.status, WireStatus::kOk);
+  EXPECT_GT(search.search.cluster_bound_evaluations, 0u);
 }
 
 TEST(MatchServiceTest, AppendRefreshesEntryBitIdenticalToColdRebuild) {
@@ -290,13 +316,12 @@ TEST(MatchServiceTest, AppendRefreshesEntryBitIdenticalToColdRebuild) {
   // published snapshot still carries one (widened in place, never
   // rebuilt), and a served search against it is bit-identical to the
   // direct call on the same snapshot.
-  auto current = service.snapshot();
-  EXPECT_TRUE(current->index_built);
-  EXPECT_NE(current->catalog.index(), nullptr);
+  ExpectIndexCoversCatalog(*service.snapshot());
   Request search = SearchStoredRequest("live_entry", 3, 30);
   Response served = service.Process(search);
   ASSERT_EQ(served.status, WireStatus::kOk);
   EXPECT_EQ(served.search.hits.front().name, "live_entry");
+  EXPECT_GT(served.search.cluster_bound_evaluations, 0u);
   Response direct = MatchService::ExecuteSearchDirect(
       search, *service.SnapshotAt(served.search.snapshot_version),
       service.options());

@@ -65,12 +65,20 @@ TEST(CatalogSearchStressTest, EightThreadSearchIsSerialIdentical) {
   }
   DependencyGraph query = RandomGraph(5, 890);
 
-  CatalogSearchOptions options;
-  options.k = 4;
-  options.match.cardinality = Cardinality::kOnto;
-  options.match.metric = MetricKind::kMutualInfoNormal;
-  for (bool prefilter : {false, true}) {
-    options.use_prefilter = prefilter;
+  // Two legs: onto x normal MI prunes; partial x Euclidean MI cannot —
+  // its entry bound is the vacuous -Finalize(0) — so every entry past
+  // the warm-up fans out across the pool.
+  struct Mode {
+    Cardinality cardinality;
+    MetricKind metric;
+  };
+  for (Mode mode : {Mode{Cardinality::kOnto, MetricKind::kMutualInfoNormal},
+                    Mode{Cardinality::kPartial,
+                         MetricKind::kMutualInfoEuclidean}}) {
+    CatalogSearchOptions options;
+    options.k = 4;
+    options.match.cardinality = mode.cardinality;
+    options.match.metric = mode.metric;
     options.num_threads = 1;
     auto base = SearchCatalog(query, catalog, options);
     ASSERT_TRUE(base.ok()) << base.status();
@@ -84,6 +92,12 @@ TEST(CatalogSearchStressTest, EightThreadSearchIsSerialIdentical) {
                     parallel->stats.entries_pruned +
                     parallel->stats.entries_incompatible,
                 parallel->stats.entries_total);
+      if (mode.cardinality == Cardinality::kPartial) {
+        // Nothing pruned and the pool demonstrably ran: at least
+        // min_parallel_entries (8) entries were deferred past warm-up.
+        EXPECT_EQ(parallel->stats.entries_pruned, 0u);
+        EXPECT_GE(parallel->stats.entries_searched, options.k + 8);
+      }
     }
   }
 }

@@ -138,6 +138,7 @@ TEST(IncrementalStressTest, ConcurrentAppendsSearchesAndInsertsReplayExactly) {
     Response response;
   };
   std::vector<std::vector<Response>> append_responses(kAppenders);
+  std::vector<Response> insert_responses;
   std::vector<std::vector<ServedSearch>> searches(kSearchers);
   // Bytes, not vector<bool>: each client thread sets its own flag, and
   // vector<bool> packs neighbouring flags into one shared word.
@@ -204,6 +205,7 @@ TEST(IncrementalStressTest, ConcurrentAppendsSearchesAndInsertsReplayExactly) {
             "churn_" + std::to_string(r), MakeSliceTable(5000 + r, 32));
         ASSERT_TRUE(inserted.ok()) << inserted.status();
         ASSERT_EQ(inserted->status, WireStatus::kOk) << inserted->message;
+        insert_responses.push_back(*std::move(inserted));
       }
       inserter_ok = true;
     });
@@ -238,7 +240,10 @@ TEST(IncrementalStressTest, ConcurrentAppendsSearchesAndInsertsReplayExactly) {
       ASSERT_NE(snapshot, nullptr)
           << "version " << response.append.snapshot_version
           << " aged out of history";
-      EXPECT_TRUE(snapshot->index_built);
+      // Appends widen the copied index rather than dropping it.
+      ASSERT_NE(snapshot->catalog.index(), nullptr);
+      EXPECT_EQ(snapshot->catalog.index()->num_entries(),
+                snapshot->catalog.size());
       Result<size_t> entry = snapshot->catalog.Find(AppendEntryName(a));
       ASSERT_TRUE(entry.ok());
       Result<DependencyGraph> cold = BuildDependencyGraph(accumulated);
@@ -256,6 +261,19 @@ TEST(IncrementalStressTest, ConcurrentAppendsSearchesAndInsertsReplayExactly) {
     }
   }
 
+  // A new entry's Insert drops the copied index; every snapshot the
+  // inserter published carries a rebuilt one over all of its entries.
+  ASSERT_EQ(insert_responses.size(), kInserterRounds);
+  for (const Response& response : insert_responses) {
+    auto snapshot = service.SnapshotAt(response.insert.snapshot_version);
+    ASSERT_NE(snapshot, nullptr)
+        << "version " << response.insert.snapshot_version
+        << " aged out of history";
+    ASSERT_NE(snapshot->catalog.index(), nullptr);
+    EXPECT_EQ(snapshot->catalog.index()->num_entries(),
+              snapshot->catalog.size());
+  }
+
   // Post-hoc search replay: bit-identical to the direct call against
   // the snapshot each response names.
   size_t verified = 0;
@@ -271,6 +289,13 @@ TEST(IncrementalStressTest, ConcurrentAppendsSearchesAndInsertsReplayExactly) {
       ASSERT_EQ(served.response.status, direct.status);
       ASSERT_EQ(served.response.search.hits.size(),
                 direct.search.hits.size());
+      // Every snapshot is indexed, and serial searches repeat their
+      // counters exactly.
+      EXPECT_GT(served.response.search.cluster_bound_evaluations, 0u);
+      EXPECT_EQ(served.response.search.bound_evaluations,
+                direct.search.bound_evaluations);
+      EXPECT_EQ(served.response.search.cluster_bound_evaluations,
+                direct.search.cluster_bound_evaluations);
       for (size_t i = 0; i < direct.search.hits.size(); ++i) {
         const SearchHit& got = served.response.search.hits[i];
         const SearchHit& want = direct.search.hits[i];

@@ -68,7 +68,6 @@ int main(int argc, char** argv) {
                  "deadline for requests that carry none (0 = unlimited)");
   flags.AddInt64("snapshot_history", 8,
                  "past snapshots retained for post-hoc verification");
-  flags.AddBool("index", true, "build the tiered index into snapshots");
   flags.AddBool("help", false, "print usage");
 
   Status parsed = flags.Parse(argc, argv);
@@ -116,7 +115,6 @@ int main(int argc, char** argv) {
       static_cast<uint64_t>(flags.GetInt64("default_deadline_ms"));
   service_options.snapshot_history =
       static_cast<size_t>(flags.GetInt64("snapshot_history"));
-  service_options.build_index = flags.GetBool("index");
 
   depmatch::service::ServerOptions server_options;
   server_options.socket_path = flags.GetString("socket");
