@@ -9,6 +9,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <array>
 #include <bit>
 #include <cstdio>
 
@@ -18,21 +19,39 @@ namespace depmatch {
 namespace graphio {
 namespace {
 
-// Table-driven CRC-32, generated once at first use from the reflected
-// polynomial.
-const uint32_t* CrcTable() {
-  static const uint32_t* table = [] {
-    static uint32_t entries[256];
+// Slice-by-8 CRC-32 tables, generated once at first use from the
+// reflected polynomial. Row 0 is the classic bytewise table; row k
+// advances a byte's contribution through k further zero bytes, so eight
+// lookups fold eight input bytes at once.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+const CrcTables& CrcTable() {
+  static const CrcTables tables = [] {
+    CrcTables t{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t crc = i;
       for (int bit = 0; bit < 8; ++bit) {
         crc = (crc & 1u) ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
       }
-      entries[i] = crc;
+      t[0][i] = crc;
     }
-    return entries;
+    for (size_t k = 1; k < 8; ++k) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        uint32_t prev = t[k - 1][i];
+        t[k][i] = (prev >> 8) ^ t[0][prev & 0xFFu];
+      }
+    }
+    return t;
   }();
-  return table;
+  return tables;
+}
+
+// Little-endian 32-bit load of p[0..3] (compiles to one load on
+// little-endian targets).
+uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+         (static_cast<uint32_t>(p[2]) << 16) |
+         (static_cast<uint32_t>(p[3]) << 24);
 }
 
 }  // namespace
@@ -85,10 +104,19 @@ bool ReadF64(std::string_view bytes, size_t* cursor, double* value) {
 }
 
 uint32_t Crc32(std::string_view bytes) {
-  const uint32_t* table = CrcTable();
+  const CrcTables& t = CrcTable();
+  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
+  size_t n = bytes.size();
   uint32_t crc = 0xFFFFFFFFu;
-  for (char c : bytes) {
-    crc = (crc >> 8) ^ table[(crc ^ static_cast<unsigned char>(c)) & 0xFFu];
+  for (; n >= 8; p += 8, n -= 8) {
+    uint32_t lo = crc ^ LoadLe32(p);
+    uint32_t hi = LoadLe32(p + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = (crc >> 8) ^ t[0][(crc ^ *p) & 0xFFu];
   }
   return crc ^ 0xFFFFFFFFu;
 }

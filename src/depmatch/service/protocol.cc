@@ -169,18 +169,197 @@ Status ParseMatchPairs(std::string_view bytes, size_t* cursor,
   return OkStatus();
 }
 
+// ---- table columns ---------------------------------------------------------
+
+// Narrowest code width that holds the wire codes 0..dictionary_size
+// (0 = null, c + 1 for dictionary entry c).
+uint8_t CodeWidth(uint64_t dictionary_size) {
+  if (dictionary_size <= 0xFFu) return 1;
+  if (dictionary_size <= 0xFFFFu) return 2;
+  return 4;
+}
+
+bool IsNaN(const Value& value) {
+  return value.is_double() && value.double_value() != value.double_value();
+}
+
+void AppendDictionaryValue(std::string* out, const Value& value) {
+  if (value.is_int64()) {
+    AppendU64(out, static_cast<uint64_t>(value.int64_value()));
+  } else if (value.is_double()) {
+    AppendF64(out, value.double_value());
+  } else {
+    AppendString(out, value.string_value());
+  }
+}
+
+// Appends one column in canonical form: the entries its rows use,
+// renumbered densely in first-appearance order by one pass over codes(),
+// so any Column encodes exactly like its cell-by-cell TableBuilder
+// rebuild. A NaN entry is emitted afresh at every cell, because
+// Column::Append interns each NaN cell as a new entry (NaN != NaN); a
+// NaN entry reused through AppendCode is where the remap departs from
+// the client's own codes.
+void AppendColumn(std::string* out, const Column& column) {
+  const std::vector<int32_t>& codes = column.codes();
+  const std::vector<Value>& dictionary = column.dictionary();
+  constexpr uint32_t kUnseen = 0;
+  constexpr uint32_t kFreshEachCell = ~uint32_t{0};
+  std::vector<uint32_t> remap(dictionary.size(), kUnseen);
+  if (column.type() == DataType::kDouble) {
+    for (size_t c = 0; c < dictionary.size(); ++c) {
+      if (IsNaN(dictionary[c])) remap[c] = kFreshEachCell;
+    }
+  }
+  std::vector<uint32_t> wire(codes.size(), 0);
+  std::vector<int32_t> order;  // source code of each wire entry
+  for (size_t row = 0; row < codes.size(); ++row) {
+    int32_t code = codes[row];
+    if (code == Column::kNullCode) continue;
+    uint32_t& slot = remap[static_cast<size_t>(code)];
+    if (slot == kUnseen || slot == kFreshEachCell) {
+      order.push_back(code);
+      wire[row] = static_cast<uint32_t>(order.size());
+      if (slot == kUnseen) slot = wire[row];
+    } else {
+      wire[row] = slot;
+    }
+  }
+  AppendU64(out, order.size());
+  for (int32_t code : order) {
+    AppendDictionaryValue(out, dictionary[static_cast<size_t>(code)]);
+  }
+  uint8_t width = CodeWidth(order.size());
+  AppendByte(out, width);
+  size_t offset = out->size();
+  out->resize(offset + wire.size() * width);
+  char* dst = out->data() + offset;
+  for (uint32_t code : wire) {
+    for (uint8_t b = 0; b < width; ++b) {
+      *dst++ = static_cast<char>((code >> (8 * b)) & 0xFFu);
+    }
+  }
+}
+
+bool ReadDictionaryValue(std::string_view bytes, size_t* cursor,
+                         DataType type, Value* value) {
+  switch (type) {
+    case DataType::kInt64: {
+      uint64_t raw = 0;
+      if (!ReadU64(bytes, cursor, &raw)) return false;
+      *value = Value(static_cast<int64_t>(raw));
+      return true;
+    }
+    case DataType::kDouble: {
+      double raw = 0.0;
+      if (!ReadF64(bytes, cursor, &raw)) return false;
+      *value = Value(raw);
+      return true;
+    }
+    case DataType::kString: {
+      std::string raw;
+      if (!ReadString(bytes, cursor, &raw)) return false;
+      *value = Value(std::move(raw));
+      return true;
+    }
+  }
+  return false;
+}
+
+uint32_t LoadCode(const unsigned char* src, uint8_t width) {
+  uint32_t code = 0;
+  for (uint8_t b = 0; b < width; ++b) {
+    code |= static_cast<uint32_t>(src[b]) << (8 * b);
+  }
+  return code;
+}
+
+// Parses one column written by AppendColumn and accepts only its
+// canonical form, so the decoded Column is exactly the one
+// Column::Append builds from the same cells: each entry is interned
+// once, at its first appearance, and every other cell is appended by
+// code.
+Status ParseColumn(std::string_view bytes, size_t* cursor, DataType type,
+                   uint64_t num_rows, Column* column) {
+  uint64_t dictionary_size = 0;
+  if (!ReadU64(bytes, cursor, &dictionary_size)) {
+    return Malformed("truncated dictionary size");
+  }
+  // Every entry is used by a row and takes at least 8 bytes.
+  if (dictionary_size > num_rows) {
+    return Malformed("dictionary larger than its column");
+  }
+  if (dictionary_size > (bytes.size() - *cursor) / 8) {
+    return Malformed("dictionary size exceeds frame");
+  }
+  std::vector<Value> dictionary(static_cast<size_t>(dictionary_size));
+  for (Value& value : dictionary) {
+    if (!ReadDictionaryValue(bytes, cursor, type, &value)) {
+      return Malformed("truncated dictionary value");
+    }
+  }
+  uint8_t width = 0;
+  if (!ReadByte(bytes, cursor, &width)) {
+    return Malformed("truncated code width");
+  }
+  if (width != CodeWidth(dictionary_size)) {
+    return Malformed("code width is not the narrowest for the dictionary");
+  }
+  if (num_rows > (bytes.size() - *cursor) / width) {
+    return Malformed("column codes exceed frame");
+  }
+  column->Reserve(static_cast<size_t>(num_rows),
+                  static_cast<size_t>(dictionary_size));
+  const auto* src =
+      reinterpret_cast<const unsigned char*>(bytes.data() + *cursor);
+  *cursor += static_cast<size_t>(num_rows) * width;
+  uint32_t interned = 0;  // wire codes 1..interned have appeared
+  for (uint64_t row = 0; row < num_rows; ++row, src += width) {
+    uint32_t code = LoadCode(src, width);
+    if (code == 0) {
+      column->AppendCode(Column::kNullCode);
+    } else if (code > dictionary_size) {
+      return Malformed("code exceeds dictionary size");
+    } else if (code > interned) {
+      if (code != interned + 1) {
+        return Malformed("dictionary entry out of first-appearance order");
+      }
+      column->Append(dictionary[interned]);
+      if (column->distinct_count() != code) {
+        return Malformed("dictionary value repeats an earlier entry");
+      }
+      interned = code;
+    } else if (IsNaN(dictionary[code - 1])) {
+      return Malformed("NaN dictionary entry used by more than one cell");
+    } else {
+      column->AppendCode(static_cast<int32_t>(code - 1));
+    }
+  }
+  if (interned != dictionary_size) return Malformed("unused dictionary entry");
+  return OkStatus();
+}
+
 // ---- frame assembly --------------------------------------------------------
 
-std::string SealFrame(std::string_view magic, std::string body) {
-  std::string frame;
-  frame.reserve(kFrameHeaderBytes + body.size() + kFrameTrailerBytes);
-  frame.append(magic.data(), magic.size());
+// Starts a frame: magic, version and a body-length placeholder. The
+// body is then appended in place and SealFrame patches the length, so
+// a large body is never copied into a second buffer.
+std::string BeginFrame(std::string_view magic) {
+  std::string frame(magic);
   AppendU32(&frame, kProtocolVersion);
-  AppendU64(&frame, body.size());
-  frame.append(body);
-  AppendU32(&frame, Crc32(frame));
+  AppendU64(&frame, 0);
   return frame;
 }
+
+void SealFrame(std::string* frame) {
+  uint64_t body_bytes = frame->size() - kFrameHeaderBytes;
+  for (size_t i = 0; i < 8; ++i) {
+    (*frame)[8 + i] = static_cast<char>((body_bytes >> (8 * i)) & 0xFFu);
+  }
+  AppendU32(frame, Crc32(*frame));
+}
+
+// ---- frame opening ---------------------------------------------------------
 
 // Validates magic/version/length/CRC and returns the body span.
 Result<std::string_view> OpenFrame(std::string_view frame,
@@ -313,28 +492,7 @@ void AppendTable(std::string* out, const Table& table) {
     AppendByte(out, static_cast<uint8_t>(schema.attribute(i).type));
   }
   AppendU64(out, table.num_rows());
-  // Column-major: cells of one column are contiguous on the wire.
-  for (size_t col = 0; col < schema.num_attributes(); ++col) {
-    for (size_t row = 0; row < table.num_rows(); ++row) {
-      Value value = table.GetValue(row, col);
-      if (value.is_null()) {
-        AppendByte(out, 0);
-        continue;
-      }
-      AppendByte(out, 1);
-      switch (schema.attribute(col).type) {
-        case DataType::kInt64:
-          AppendU64(out, static_cast<uint64_t>(value.int64_value()));
-          break;
-        case DataType::kDouble:
-          AppendF64(out, value.double_value());
-          break;
-        case DataType::kString:
-          AppendString(out, value.string_value());
-          break;
-      }
-    }
-  }
+  for (const Column& column : table.columns()) AppendColumn(out, column);
 }
 
 Result<Table> ParseTable(std::string_view bytes, size_t* cursor) {
@@ -366,98 +524,66 @@ Result<Table> ParseTable(std::string_view bytes, size_t* cursor) {
   if (!ReadU64(bytes, cursor, &num_rows)) {
     return Malformed("truncated table row count");
   }
-  // Each cell needs at least the 1-byte null tag.
-  if (num_attributes > 0 &&
-      num_rows > (bytes.size() - *cursor) / num_attributes) {
+  // A table without attributes has no rows; otherwise each cell needs
+  // at least a 1-byte code.
+  if (num_attributes == 0 ? num_rows != 0
+                          : num_rows > (bytes.size() - *cursor) /
+                                           num_attributes) {
     return Malformed("row count exceeds frame");
   }
-  TableBuilder builder(*schema);
-  for (uint64_t col = 0; col < num_attributes; ++col) {
-    DataType type = schema->attribute(static_cast<size_t>(col)).type;
-    for (uint64_t row = 0; row < num_rows; ++row) {
-      uint8_t present = 0;
-      if (!ReadByte(bytes, cursor, &present)) {
-        return Malformed("truncated table cell");
-      }
-      if (present == 0) {
-        builder.AppendValue(static_cast<size_t>(col), Value::Null());
-        continue;
-      }
-      if (present != 1) return Malformed("bad cell tag");
-      switch (type) {
-        case DataType::kInt64: {
-          uint64_t raw = 0;
-          if (!ReadU64(bytes, cursor, &raw)) {
-            return Malformed("truncated int64 cell");
-          }
-          builder.AppendValue(static_cast<size_t>(col),
-                              Value(static_cast<int64_t>(raw)));
-          break;
-        }
-        case DataType::kDouble: {
-          double raw = 0.0;
-          if (!ReadF64(bytes, cursor, &raw)) {
-            return Malformed("truncated double cell");
-          }
-          builder.AppendValue(static_cast<size_t>(col), Value(raw));
-          break;
-        }
-        case DataType::kString: {
-          std::string raw;
-          if (!ReadString(bytes, cursor, &raw)) {
-            return Malformed("truncated string cell");
-          }
-          builder.AppendValue(static_cast<size_t>(col),
-                              Value(std::move(raw)));
-          break;
-        }
-      }
-    }
+  std::vector<Column> columns;
+  columns.reserve(static_cast<size_t>(num_attributes));
+  for (size_t col = 0; col < num_attributes; ++col) {
+    DataType type = schema->attribute(col).type;
+    columns.emplace_back(type);
+    DEPMATCH_RETURN_IF_ERROR(
+        ParseColumn(bytes, cursor, type, num_rows, &columns.back()));
   }
-  return std::move(builder).Build();
+  return AssembleTable(*std::move(schema), std::move(columns));
 }
 
 // ---- request ---------------------------------------------------------------
 
 std::string EncodeRequest(const Request& request) {
-  std::string body;
-  AppendByte(&body, static_cast<uint8_t>(request.type));
-  AppendU64(&body, request.request_id);
-  AppendU64(&body, request.deadline_ms);
+  std::string frame = BeginFrame(kRequestMagic);
+  AppendByte(&frame, static_cast<uint8_t>(request.type));
+  AppendU64(&frame, request.request_id);
+  AppendU64(&frame, request.deadline_ms);
   switch (request.type) {
     case RequestType::kMatchTables:
-      AppendMatchOptions(&body, request.match.options);
-      AppendTable(&body, request.match.source);
-      AppendTable(&body, request.match.target);
+      AppendMatchOptions(&frame, request.match.options);
+      AppendTable(&frame, request.match.source);
+      AppendTable(&frame, request.match.target);
       break;
     case RequestType::kSearch:
-      AppendByte(&body, static_cast<uint8_t>(request.search.source));
-      AppendU64(&body, request.search.k);
-      AppendMatchOptions(&body, request.search.options);
+      AppendByte(&frame, static_cast<uint8_t>(request.search.source));
+      AppendU64(&frame, request.search.k);
+      AppendMatchOptions(&frame, request.search.options);
       if (request.search.source == SearchSource::kInlineTable) {
-        AppendTable(&body, request.search.table);
+        AppendTable(&frame, request.search.table);
       } else {
-        AppendString(&body, request.search.stored_name);
+        AppendString(&frame, request.search.stored_name);
       }
       break;
     case RequestType::kInsert:
-      AppendString(&body, request.insert.name);
-      AppendByte(&body, static_cast<uint8_t>(request.insert.payload));
-      AppendByte(&body, request.insert.replace_existing ? 1 : 0);
+      AppendString(&frame, request.insert.name);
+      AppendByte(&frame, static_cast<uint8_t>(request.insert.payload));
+      AppendByte(&frame, request.insert.replace_existing ? 1 : 0);
       if (request.insert.payload == InsertPayload::kTable) {
-        AppendTable(&body, request.insert.table);
+        AppendTable(&frame, request.insert.table);
       } else {
-        AppendGraph(&body, request.insert.graph);
+        AppendGraph(&frame, request.insert.graph);
       }
       break;
     case RequestType::kAppend:
-      AppendString(&body, request.append.name);
-      AppendTable(&body, request.append.table);
+      AppendString(&frame, request.append.name);
+      AppendTable(&frame, request.append.table);
       break;
     case RequestType::kStats:
       break;
   }
-  return SealFrame(kRequestMagic, std::move(body));
+  SealFrame(&frame);
+  return frame;
 }
 
 Result<Request> DecodeRequest(std::string_view frame) {
@@ -552,75 +678,76 @@ Result<Request> DecodeRequest(std::string_view frame) {
 // ---- response --------------------------------------------------------------
 
 std::string EncodeResponse(const Response& response) {
-  std::string body;
-  AppendU64(&body, response.request_id);
-  AppendByte(&body, static_cast<uint8_t>(response.status));
-  AppendString(&body, response.message);
-  AppendByte(&body, static_cast<uint8_t>(response.type));
+  std::string frame = BeginFrame(kResponseMagic);
+  AppendU64(&frame, response.request_id);
+  AppendByte(&frame, static_cast<uint8_t>(response.status));
+  AppendString(&frame, response.message);
+  AppendByte(&frame, static_cast<uint8_t>(response.type));
   if (response.status == WireStatus::kOk) {
     switch (response.type) {
       case RequestType::kMatchTables: {
         const MatchTablesResponse& match = response.match;
-        AppendByte(&body, static_cast<uint8_t>(match.metric));
-        AppendF64(&body, match.metric_value);
-        AppendU64(&body, match.correspondences.size());
+        AppendByte(&frame, static_cast<uint8_t>(match.metric));
+        AppendF64(&frame, match.metric_value);
+        AppendU64(&frame, match.correspondences.size());
         for (const WireCorrespondence& c : match.correspondences) {
-          AppendU64(&body, c.source_index);
-          AppendU64(&body, c.target_index);
-          AppendString(&body, c.source_name);
-          AppendString(&body, c.target_name);
+          AppendU64(&frame, c.source_index);
+          AppendU64(&frame, c.target_index);
+          AppendString(&frame, c.source_name);
+          AppendString(&frame, c.target_name);
         }
         break;
       }
       case RequestType::kSearch: {
         const SearchResponse& search = response.search;
-        AppendU64(&body, search.snapshot_version);
-        AppendU64(&body, search.entries_total);
-        AppendU64(&body, search.entries_searched);
-        AppendU64(&body, search.entries_pruned);
-        AppendU64(&body, search.bound_evaluations);
-        AppendU64(&body, search.cluster_bound_evaluations);
-        AppendU64(&body, search.hits.size());
+        AppendU64(&frame, search.snapshot_version);
+        AppendU64(&frame, search.entries_total);
+        AppendU64(&frame, search.entries_searched);
+        AppendU64(&frame, search.entries_pruned);
+        AppendU64(&frame, search.bound_evaluations);
+        AppendU64(&frame, search.cluster_bound_evaluations);
+        AppendU64(&frame, search.hits.size());
         for (const SearchHit& hit : search.hits) {
-          AppendString(&body, hit.name);
-          AppendU64(&body, hit.entry);
-          AppendF64(&body, hit.ranking_key);
-          AppendF64(&body, hit.normalized_score);
-          AppendF64(&body, hit.metric_value);
-          AppendMatchPairs(&body, hit.pairs);
+          AppendString(&frame, hit.name);
+          AppendU64(&frame, hit.entry);
+          AppendF64(&frame, hit.ranking_key);
+          AppendF64(&frame, hit.normalized_score);
+          AppendF64(&frame, hit.metric_value);
+          AppendMatchPairs(&frame, hit.pairs);
         }
         break;
       }
       case RequestType::kInsert:
-        AppendU64(&body, response.insert.snapshot_version);
-        AppendU64(&body, response.insert.catalog_entries);
-        AppendByte(&body, response.insert.replaced ? 1 : 0);
+        AppendU64(&frame, response.insert.snapshot_version);
+        AppendU64(&frame, response.insert.catalog_entries);
+        AppendByte(&frame, response.insert.replaced ? 1 : 0);
         break;
       case RequestType::kAppend:
-        AppendU64(&body, response.append.snapshot_version);
-        AppendU64(&body, response.append.catalog_entries);
-        AppendU64(&body, response.append.rows_total);
-        AppendU64(&body, response.append.generation);
+        AppendU64(&frame, response.append.snapshot_version);
+        AppendU64(&frame, response.append.catalog_entries);
+        AppendU64(&frame, response.append.rows_total);
+        AppendU64(&frame, response.append.generation);
         break;
       case RequestType::kStats: {
         const StatsResponse& stats = response.stats;
-        AppendU64(&body, stats.snapshot_version);
-        AppendU64(&body, stats.catalog_entries);
-        AppendU64(&body, stats.accepted_total);
-        AppendU64(&body, stats.completed_total);
-        AppendU64(&body, stats.shed_overload_total);
-        AppendU64(&body, stats.shed_deadline_total);
-        AppendU64(&body, stats.inserts_total);
-        AppendU64(&body, stats.appends_total);
-        AppendU64(&body, stats.queue_depth);
-        AppendU64(&body, stats.max_queue_depth_seen);
-        AppendU64(&body, stats.stat_cache_hits);
-        AppendU64(&body, stats.stat_cache_misses);
+        AppendU64(&frame, stats.snapshot_version);
+        AppendU64(&frame, stats.catalog_entries);
+        AppendU64(&frame, stats.accepted_total);
+        AppendU64(&frame, stats.completed_total);
+        AppendU64(&frame, stats.shed_overload_total);
+        AppendU64(&frame, stats.shed_deadline_total);
+        AppendU64(&frame, stats.inserts_total);
+        AppendU64(&frame, stats.appends_total);
+        AppendU64(&frame, stats.queue_depth);
+        AppendU64(&frame, stats.max_queue_depth_seen);
+        AppendU64(&frame, stats.stat_cache_hits);
+        AppendU64(&frame, stats.stat_cache_misses);
         break;
       }
     }
   }
-  return SealFrame(kResponseMagic, std::move(body));
+  SealFrame(&frame);
+  return frame;
 }
 
 Result<Response> DecodeResponse(std::string_view frame) {

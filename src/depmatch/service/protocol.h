@@ -10,10 +10,11 @@
 // graphio:: primitives this module reuses):
 //
 //   bytes 0..3   magic "DMR1" (request) / "DMP1" (response)
-//   u32          protocol version (currently 3; version 2 dropped the
+//   u32          protocol version (currently 4; version 2 dropped the
 //                two micro-batch counters from the stats payload,
 //                version 3 added the two bound-evaluation counters to
-//                the search payload)
+//                the search payload, version 4 replaced the per-cell
+//                table form with the dictionary-coded one below)
 //   u64          body length in bytes
 //   body         type-specific payload (below)
 //   u32          CRC-32 of every preceding byte (magic included)
@@ -25,7 +26,8 @@
 // verified before any body field is interpreted; corruption and
 // truncation surface as InvalidArgument Status values, never as
 // crashes, hangs, or silently wrong results (exhaustively tested in
-// tests/service/protocol_test.cc, mirroring graph_io_test).
+// tests/service/protocol_test.cc, mirroring graph_io_test, and under
+// seeded mutation in tests/service/protocol_fuzz_test.cc).
 //
 // Request body:
 //   u8   request type (RequestType)
@@ -41,10 +43,27 @@
 //   u8   request type the payload answers
 //   ...  type-specific fields, present only when status == kOk
 //
-// Inline tables cross the wire in a bit-exact binary form (schema +
-// typed cells; doubles as raw bit patterns), so a table decoded on the
-// server is value-identical to the client's and the served match is
-// bit-identical to a direct library call on the original — the
+// Inline tables cross the wire dictionary-coded, column by column, the
+// way Column stores them (values are opaque symbols to the matcher):
+//
+//   u64  attribute count, then per attribute: str name, u8 DataType
+//   u64  row count (0 when there are no attributes)
+//   per column:
+//     u64  dictionary size d (at most the row count)
+//     d    values in first-appearance order: int64 and double as raw
+//          little-endian bits, strings as str
+//     u8   code width w: 1 if d <= 255, 2 if d <= 65535, else 4
+//     rows x w-byte little-endian codes: 0 = null, c + 1 = entry c
+//
+// Only the canonical form is accepted: the narrowest width, every code
+// <= d, entries first appearing in order, none unused, and no value
+// that Column interning would merge with an earlier entry (0.0 and
+// -0.0, a repeated string). A NaN entry serves exactly one cell, as
+// Column::Append interns each NaN cell afresh. The encoder renumbers
+// each column into this form, so every table encodes byte-for-byte like
+// its cell-by-cell TableBuilder rebuild, and the server decodes exactly
+// the Table that Column::Append builds from the same cells: the served
+// match is bit-identical to a direct library call on the original — the
 // round-trip invariant the service bench gates on.
 
 #ifndef DEPMATCH_SERVICE_PROTOCOL_H_
@@ -66,7 +85,7 @@ namespace service {
 
 inline constexpr std::string_view kRequestMagic = "DMR1";
 inline constexpr std::string_view kResponseMagic = "DMP1";
-inline constexpr uint32_t kProtocolVersion = 3;
+inline constexpr uint32_t kProtocolVersion = 4;
 // magic (4) + version (4) + body length (8).
 inline constexpr size_t kFrameHeaderBytes = 16;
 inline constexpr size_t kFrameTrailerBytes = 4;  // CRC-32
@@ -285,8 +304,8 @@ inline size_t FrameSizeForBody(uint64_t body_bytes) {
          kFrameTrailerBytes;
 }
 
-// Bit-exact binary table codec used for inline tables (exposed for the
-// protocol tests): schema + typed cells, doubles as raw bit patterns.
+// Dictionary-coded table codec used for inline tables (exposed for the
+// protocol tests); the layout is in the comment at the top of this file.
 void AppendTable(std::string* out, const Table& table);
 Result<Table> ParseTable(std::string_view bytes, size_t* cursor);
 

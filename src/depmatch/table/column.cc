@@ -36,6 +36,12 @@ void Column::Append(const Value& value) {
   codes_.push_back(code);
 }
 
+void Column::Reserve(size_t rows, size_t distinct) {
+  codes_.reserve(rows);
+  dictionary_.reserve(distinct);
+  dictionary_index_.reserve(distinct);
+}
+
 void Column::AppendCode(int32_t code) {
   if (code == kNullCode) {
     codes_.push_back(kNullCode);

@@ -46,6 +46,11 @@ class Column {
   // physical type matches type().
   void Append(const Value& value);
 
+  // Reserves room for `rows` cells and `distinct` dictionary entries, so
+  // a bulk fill of known size (the wire decoder) does not regrow or
+  // rehash.
+  void Reserve(size_t rows, size_t distinct);
+
   // Appends a cell by existing dictionary code (fast path for generators).
   // Precondition: code == kNullCode or 0 <= code < distinct_count().
   void AppendCode(int32_t code);

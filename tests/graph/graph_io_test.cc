@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "depmatch/common/rng.h"
@@ -190,6 +191,42 @@ TEST(GraphIoTest, Crc32MatchesKnownVector) {
   // The standard zlib/PNG CRC-32 check value.
   EXPECT_EQ(graphio::Crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(graphio::Crc32(""), 0x00000000u);
+}
+
+// Bit-at-a-time reference CRC-32 (same reflected polynomial), so the
+// sliced implementation is checked against the definition, not itself.
+uint32_t ReferenceCrc32(std::string_view bytes) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (char c : bytes) {
+    crc ^= static_cast<unsigned char>(c);
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::string SeededBytes(size_t size, uint64_t seed) {
+  Rng rng(seed);
+  std::string bytes(size, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.Next() & 0xFFu);
+  return bytes;
+}
+
+TEST(GraphIoTest, Crc32MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  // Lengths 0..257 cover the empty input, every tail length after the
+  // 8-byte blocks and several whole blocks; offsets 0..7 cover every
+  // alignment of the block loads.
+  std::string buffer = SeededBytes(257 + 8, 17);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 257; ++length) {
+      std::string_view slice(buffer.data() + offset, length);
+      ASSERT_EQ(graphio::Crc32(slice), ReferenceCrc32(slice))
+          << "offset " << offset << " length " << length;
+    }
+  }
+  std::string mib = SeededBytes(1 << 20, 23);
+  EXPECT_EQ(graphio::Crc32(mib), ReferenceCrc32(mib));
 }
 
 }  // namespace

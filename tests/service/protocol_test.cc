@@ -9,15 +9,20 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "depmatch/common/rng.h"
 #include "depmatch/graph/dependency_graph.h"
 #include "depmatch/graph/graph_io.h"
+#include "depmatch/table/column.h"
 #include "depmatch/table/table.h"
+#include "depmatch/table/table_ops.h"
 
 namespace depmatch {
 namespace service {
@@ -67,24 +72,30 @@ DependencyGraph MakeWireGraph() {
   return *std::move(graph);
 }
 
-void ExpectBitIdenticalTables(const Table& a, const Table& b) {
+// A dictionary value by type and bit pattern, so 0.0 and -0.0 (and NaN
+// payloads) stay distinct.
+std::string ValueBits(const Value& value) {
+  if (value.is_double()) {
+    return "d" + std::to_string(std::bit_cast<uint64_t>(value.double_value()));
+  }
+  return (value.is_int64() ? "i" : "s") + value.ToString();
+}
+
+// Column-level identity: codes, null count and dictionary (by bits).
+void ExpectSameColumns(const Table& a, const Table& b) {
   ASSERT_EQ(a.num_attributes(), b.num_attributes());
   ASSERT_EQ(a.num_rows(), b.num_rows());
   for (size_t c = 0; c < a.num_attributes(); ++c) {
     EXPECT_EQ(a.schema().attribute(c).name, b.schema().attribute(c).name);
     EXPECT_EQ(a.schema().attribute(c).type, b.schema().attribute(c).type);
-    for (size_t r = 0; r < a.num_rows(); ++r) {
-      Value va = a.GetValue(r, c);
-      Value vb = b.GetValue(r, c);
-      ASSERT_EQ(va.is_null(), vb.is_null()) << "cell " << r << "," << c;
-      if (va.is_double()) {
-        ASSERT_TRUE(vb.is_double());
-        EXPECT_EQ(std::bit_cast<uint64_t>(va.double_value()),
-                  std::bit_cast<uint64_t>(vb.double_value()))
-            << "cell " << r << "," << c;
-      } else {
-        EXPECT_EQ(va, vb) << "cell " << r << "," << c;
-      }
+    const Column& x = a.column(c);
+    const Column& y = b.column(c);
+    EXPECT_EQ(x.codes(), y.codes()) << "column " << c;
+    EXPECT_EQ(x.null_count(), y.null_count()) << "column " << c;
+    ASSERT_EQ(x.distinct_count(), y.distinct_count()) << "column " << c;
+    for (size_t k = 0; k < x.distinct_count(); ++k) {
+      EXPECT_EQ(ValueBits(x.dictionary()[k]), ValueBits(y.dictionary()[k]))
+          << "column " << c << " entry " << k;
     }
   }
 }
@@ -138,8 +149,8 @@ TEST(ProtocolTest, MatchRequestRoundTripsBitIdentically) {
             std::bit_cast<uint64_t>(1.25));
   EXPECT_EQ(decoded->match.options.candidates_per_attribute, 5u);
   EXPECT_EQ(decoded->match.options.max_search_nodes, 123456u);
-  ExpectBitIdenticalTables(request.match.source, decoded->match.source);
-  ExpectBitIdenticalTables(request.match.target, decoded->match.target);
+  ExpectSameColumns(request.match.source, decoded->match.source);
+  ExpectSameColumns(request.match.target, decoded->match.target);
 }
 
 TEST(ProtocolTest, SearchAndInsertAndStatsRequestsRoundTrip) {
@@ -160,7 +171,7 @@ TEST(ProtocolTest, SearchAndInsertAndStatsRequestsRoundTrip) {
   auto inline_decoded = DecodeRequest(EncodeRequest(inline_search));
   ASSERT_TRUE(inline_decoded.ok()) << inline_decoded.status();
   EXPECT_EQ(inline_decoded->search.source, SearchSource::kInlineTable);
-  ExpectBitIdenticalTables(inline_search.search.table,
+  ExpectSameColumns(inline_search.search.table,
                            inline_decoded->search.table);
 
   Request insert;
@@ -201,7 +212,7 @@ TEST(ProtocolTest, AppendRequestAndResponseRoundTrip) {
   EXPECT_EQ(decoded->request_id, 85u);
   EXPECT_EQ(decoded->deadline_ms, 400u);
   EXPECT_EQ(decoded->append.name, "t000009");
-  ExpectBitIdenticalTables(append.append.table, decoded->append.table);
+  ExpectSameColumns(append.append.table, decoded->append.table);
 
   Response response;
   response.request_id = 86;
@@ -331,9 +342,117 @@ TEST(ProtocolTest, ResponsesRoundTripBitIdentically) {
   EXPECT_EQ(stats_decoded->stats.stat_cache_hits, 42u);
 }
 
+// The table Column::Append builds from `table`'s cells, one at a time:
+// the reference every decoded table must equal.
+Table RebuildCellByCell(const Table& table) {
+  TableBuilder builder(table.schema());
+  for (size_t c = 0; c < table.num_attributes(); ++c) {
+    for (size_t r = 0; r < table.num_rows(); ++r) {
+      builder.AppendValue(c, table.GetValue(r, c));
+    }
+  }
+  Result<Table> rebuilt = std::move(builder).Build();
+  EXPECT_TRUE(rebuilt.ok());
+  return *std::move(rebuilt);
+}
+
+std::string TableBytes(const Table& table) {
+  std::string bytes;
+  AppendTable(&bytes, table);
+  return bytes;
+}
+
+Table RoundTripTable(const Table& table) {
+  std::string bytes = TableBytes(table);
+  size_t cursor = 0;
+  Result<Table> parsed = ParseTable(bytes, &cursor);
+  EXPECT_TRUE(parsed.ok()) << parsed.status();
+  if (!parsed.ok()) return Table();
+  EXPECT_EQ(cursor, bytes.size());
+  return *std::move(parsed);
+}
+
+Table SingleColumnTable(DataType type, const std::vector<Value>& cells) {
+  Result<Schema> schema = Schema::Create({{"a", type}});
+  EXPECT_TRUE(schema.ok());
+  TableBuilder builder(*schema);
+  for (const Value& cell : cells) builder.AppendValue(0, cell);
+  Result<Table> table = std::move(builder).Build();
+  EXPECT_TRUE(table.ok());
+  return *std::move(table);
+}
+
+// 40 rows of five columns, with repeats, nulls and ~-0.0, for the
+// projection/sampling cases.
+Table MakeSampleSource() {
+  Result<Schema> schema = Schema::Create({
+      {"k", DataType::kInt64},
+      {"x", DataType::kDouble},
+      {"s", DataType::kString},
+      {"n", DataType::kInt64},
+      {"y", DataType::kDouble},
+  });
+  EXPECT_TRUE(schema.ok());
+  TableBuilder builder(*schema);
+  for (int64_t r = 0; r < 40; ++r) {
+    builder.AppendValue(0, Value(r % 7));
+    builder.AppendValue(1, r % 5 == 0 ? Value::Null()
+                                      : Value((r % 2 ? -0.0 : 0.0) + r % 3));
+    builder.AppendValue(2, Value(std::to_string(r % 11) + "s"));
+    builder.AppendValue(3, Value::Null());
+    builder.AppendValue(4, Value(static_cast<double>(r) / 8.0));
+  }
+  Result<Table> table = std::move(builder).Build();
+  EXPECT_TRUE(table.ok());
+  return *std::move(table);
+}
+
+// A NaN entry reused through AppendCode: Column::Append would have
+// interned each of those cells as its own entry (NaN != NaN), so this
+// column is not in the form its cell-by-cell rebuild has.
+Table MakeReusedNaNTable() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Column column(DataType::kDouble);
+  column.Append(Value(nan));
+  column.Append(Value(2.0));
+  column.AppendCode(0);
+  column.AppendCode(Column::kNullCode);
+  column.AppendCode(1);
+  column.AppendCode(0);
+  Result<Schema> schema = Schema::Create({{"a", DataType::kDouble}});
+  EXPECT_TRUE(schema.ok());
+  std::vector<Column> columns;
+  columns.push_back(std::move(column));
+  Result<Table> table = AssembleTable(*std::move(schema), std::move(columns));
+  EXPECT_TRUE(table.ok());
+  return *std::move(table);
+}
+
+Table MakeSampledProjection() {
+  Result<Table> projected = ProjectColumns(MakeSampleSource(), {4, 2, 0, 1});
+  EXPECT_TRUE(projected.ok());
+  Rng rng(5);
+  return SampleRows(*projected, 17, rng);
+}
+
+Request AppendRequestWith(Table table) {
+  Request append;
+  append.type = RequestType::kAppend;
+  append.request_id = 90;
+  append.append.name = "x";
+  append.append.table = std::move(table);
+  return append;
+}
+
 TEST(ProtocolTest, EncodingIsDeterministic) {
   Request request = MakeSearchRequest();
   EXPECT_EQ(EncodeRequest(request), EncodeRequest(request));
+  // A table and its cell-by-cell rebuild encode to the same bytes.
+  for (const Table& table :
+       {MakeWireTable(), MakeSampledProjection(), MakeReusedNaNTable()}) {
+    EXPECT_EQ(EncodeRequest(AppendRequestWith(table)),
+              EncodeRequest(AppendRequestWith(RebuildCellByCell(table))));
+  }
 }
 
 TEST(ProtocolTest, EverySingleByteRequestCorruptionIsDetected) {
@@ -456,7 +575,7 @@ TEST(ProtocolTest, TableCodecRoundTripsAndBoundsChecks) {
   auto parsed = ParseTable(bytes, &cursor);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   EXPECT_EQ(cursor, bytes.size());
-  ExpectBitIdenticalTables(table, *parsed);
+  ExpectSameColumns(table, *parsed);
 
   // A hostile attribute count cannot force a huge allocation: the
   // count is checked against the remaining bytes first.
@@ -464,6 +583,218 @@ TEST(ProtocolTest, TableCodecRoundTripsAndBoundsChecks) {
   graphio::AppendU64(&hostile, ~0ull);
   size_t hostile_cursor = 0;
   EXPECT_FALSE(ParseTable(hostile, &hostile_cursor).ok());
+}
+
+TEST(ProtocolTest, TableCodecPicksTheNarrowestWidthAtEveryBoundary) {
+  // Wire codes run 0..d, so d = 255 still fits one byte and d = 65535
+  // two. Layout of a one-int64-column table: attribute count (8), name
+  // (8 + 1), type (1), rows (8), d (8), d values (8 each), width (1).
+  for (uint64_t d : {254u, 255u, 256u, 65534u, 65535u, 65536u}) {
+    uint8_t width = d <= 255 ? 1 : d <= 65535 ? 2 : 4;
+    std::vector<Value> cells;
+    for (uint64_t i = 0; i < d; ++i) {
+      cells.emplace_back(static_cast<int64_t>(i * 3));
+    }
+    cells.emplace_back();
+    cells.emplace_back(static_cast<int64_t>(0));
+    cells.emplace_back(static_cast<int64_t>((d - 1) * 3));
+    Table table = SingleColumnTable(DataType::kInt64, cells);
+    std::string bytes = TableBytes(table);
+    size_t width_at = 34 + 8 * d;
+    ASSERT_EQ(bytes.size(), width_at + 1 + cells.size() * width) << d;
+    EXPECT_EQ(static_cast<uint8_t>(bytes[width_at]), width) << d;
+    ExpectSameColumns(RoundTripTable(table), table);
+  }
+}
+
+TEST(ProtocolTest, TableCodecRoundTripsNaNsNullsAndEmptyShapes) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double negative_nan = -std::numeric_limits<double>::quiet_NaN();
+  Table nans = SingleColumnTable(
+      DataType::kDouble, {Value(nan), Value(1.0), Value(nan), Value::Null(),
+                          Value(negative_nan), Value(1.0), Value(nan)});
+  // Each NaN cell is its own entry, as Column::Append interns them.
+  ASSERT_EQ(nans.column(0).distinct_count(), 5u);
+  Table decoded_nans = RoundTripTable(nans);
+  ExpectSameColumns(decoded_nans, nans);
+  EXPECT_TRUE(std::isnan(decoded_nans.GetValue(6, 0).double_value()));
+
+  Table all_null = SingleColumnTable(
+      DataType::kString, {Value::Null(), Value::Null(), Value::Null()});
+  Table decoded_null = RoundTripTable(all_null);
+  ExpectSameColumns(decoded_null, all_null);
+  EXPECT_EQ(decoded_null.column(0).null_count(), 3u);
+
+  Result<Schema> schema = Schema::Create(
+      {{"a", DataType::kInt64}, {"b", DataType::kString}});
+  ASSERT_TRUE(schema.ok());
+  Result<Table> no_rows = TableBuilder(*schema).Build();
+  ASSERT_TRUE(no_rows.ok());
+  Table decoded_empty = RoundTripTable(*no_rows);
+  EXPECT_EQ(decoded_empty.num_attributes(), 2u);
+  ExpectSameColumns(decoded_empty, *no_rows);
+
+  Table no_attributes = RoundTripTable(Table());
+  EXPECT_EQ(no_attributes.num_attributes(), 0u);
+  EXPECT_EQ(no_attributes.num_rows(), 0u);
+}
+
+TEST(ProtocolTest, TablesDecodeExactlyLikeTheirCellByCellRebuild) {
+  // Including SampleRows over a projection, and a NaN entry reused
+  // through AppendCode: the server sees the table Column::Append builds
+  // from the same cells, not the client's dictionary layout.
+  for (const Table& table : {MakeWireTable(), MakeSampleSource(),
+                             MakeSampledProjection(), MakeReusedNaNTable()}) {
+    Table rebuilt = RebuildCellByCell(table);
+    ExpectSameColumns(RoundTripTable(table), rebuilt);
+    EXPECT_EQ(TableBytes(table), TableBytes(rebuilt));
+  }
+  EXPECT_EQ(MakeReusedNaNTable().column(0).distinct_count(), 2u);
+  EXPECT_EQ(RoundTripTable(MakeReusedNaNTable()).column(0).distinct_count(),
+            4u);
+}
+
+// ---- hand-built tables under a valid CRC -----------------------------------
+
+void AppendWireString(std::string* out, std::string_view text) {
+  graphio::AppendU64(out, text.size());
+  out->append(text);
+}
+
+// One column on the wire: d, the raw dictionary bytes, width, codes.
+std::string WireColumn(uint64_t dictionary_size, const std::string& values,
+                       uint8_t width, const std::vector<uint32_t>& codes) {
+  std::string out;
+  graphio::AppendU64(&out, dictionary_size);
+  out += values;
+  out.push_back(static_cast<char>(width));
+  for (uint32_t code : codes) {
+    for (uint8_t b = 0; b < width; ++b) {
+      out.push_back(static_cast<char>((code >> (8 * b)) & 0xFFu));
+    }
+  }
+  return out;
+}
+
+// One attribute "a" of `type`, `rows` rows, then `column` verbatim.
+std::string OneColumnTable(DataType type, uint64_t rows,
+                           const std::string& column) {
+  std::string out;
+  graphio::AppendU64(&out, 1);
+  AppendWireString(&out, "a");
+  out.push_back(static_cast<char>(type));
+  graphio::AppendU64(&out, rows);
+  return out + column;
+}
+
+std::string Int64Values(const std::vector<int64_t>& values) {
+  std::string out;
+  for (int64_t v : values) graphio::AppendU64(&out, static_cast<uint64_t>(v));
+  return out;
+}
+
+// An append request frame carrying `table_bytes` as its table, under a
+// valid CRC, so the table checks (not the checksum) must judge it.
+std::string AppendFrameWithTable(const std::string& table_bytes) {
+  std::string frame = EncodeRequest(AppendRequestWith(Table()));
+  // An empty table is the last 16 body bytes (two zero counts).
+  frame.resize(frame.size() - kFrameTrailerBytes - 16);
+  frame += table_bytes;
+  frame.resize(frame.size() + kFrameTrailerBytes);
+  return Reseal(frame);
+}
+
+void ExpectTableRejected(const std::string& table_bytes,
+                         std::string_view reason) {
+  Result<Request> decoded = DecodeRequest(AppendFrameWithTable(table_bytes));
+  ASSERT_FALSE(decoded.ok()) << "accepted; expected: " << reason;
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(decoded.status().message().find(reason), std::string::npos)
+      << decoded.status().message();
+}
+
+TEST(ProtocolTest, HandBuiltCanonicalColumnDecodes) {
+  Result<Request> decoded = DecodeRequest(AppendFrameWithTable(OneColumnTable(
+      DataType::kInt64, 4,
+      WireColumn(2, Int64Values({5, 6}), 1, {1, 0, 2, 1}))));
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  ExpectSameColumns(
+      decoded->append.table,
+      SingleColumnTable(DataType::kInt64, {Value(int64_t{5}), Value::Null(),
+                                           Value(int64_t{6}),
+                                           Value(int64_t{5})}));
+}
+
+TEST(ProtocolTest, NonCanonicalColumnsUnderValidCrcAreRejected) {
+  std::string zeros;
+  graphio::AppendF64(&zeros, 0.0);
+  graphio::AppendF64(&zeros, -0.0);
+  ExpectTableRejected(
+      OneColumnTable(DataType::kDouble, 2, WireColumn(2, zeros, 1, {1, 2})),
+      "repeats an earlier entry");
+  std::string strings;
+  AppendWireString(&strings, "dup");
+  AppendWireString(&strings, "dup");
+  ExpectTableRejected(
+      OneColumnTable(DataType::kString, 2, WireColumn(2, strings, 1, {2, 1})),
+      "out of first-appearance order");
+  ExpectTableRejected(
+      OneColumnTable(DataType::kString, 2, WireColumn(2, strings, 1, {1, 2})),
+      "repeats an earlier entry");
+  std::string nan;
+  graphio::AppendF64(&nan, std::numeric_limits<double>::quiet_NaN());
+  ExpectTableRejected(
+      OneColumnTable(DataType::kDouble, 2, WireColumn(1, nan, 1, {1, 1})),
+      "NaN dictionary entry");
+  ExpectTableRejected(OneColumnTable(DataType::kInt64, 2,
+                                     WireColumn(2, Int64Values({1, 2}), 1,
+                                                {1, 1})),
+                      "unused dictionary entry");
+  ExpectTableRejected(OneColumnTable(DataType::kInt64, 3,
+                                     WireColumn(2, Int64Values({1, 2}), 1,
+                                                {2, 1, 2})),
+                      "out of first-appearance order");
+  ExpectTableRejected(
+      OneColumnTable(DataType::kInt64, 2,
+                     WireColumn(1, Int64Values({7}), 1, {1, 2})),
+      "code exceeds dictionary size");
+  ExpectTableRejected(
+      OneColumnTable(DataType::kInt64, 2,
+                     WireColumn(1, Int64Values({7}), 2, {1, 1})),
+      "code width is not the narrowest");
+  ExpectTableRejected(
+      OneColumnTable(DataType::kInt64, 2,
+                     WireColumn(1, Int64Values({7}), 3, {1, 1})),
+      "code width is not the narrowest");
+  // Rows without attributes.
+  std::string rows_only;
+  graphio::AppendU64(&rows_only, 0);
+  graphio::AppendU64(&rows_only, 3);
+  ExpectTableRejected(rows_only, "row count exceeds frame");
+}
+
+TEST(ProtocolTest, OversizedColumnCountsAreRejectedBeforeAllocating) {
+  // Declared counts up to 2^64 - 1: were any of them allocated before
+  // the bound check, the decode would throw instead of returning.
+  std::string padding(1000, '\0');
+  std::string column;
+  graphio::AppendU64(&column, ~0ull);
+  ExpectTableRejected(OneColumnTable(DataType::kInt64, 1000, column + padding),
+                      "dictionary larger than its column");
+  column.clear();
+  graphio::AppendU64(&column, 900);  // <= rows, but 900 x 8 > frame
+  ExpectTableRejected(OneColumnTable(DataType::kString, 1000, column + padding),
+                      "dictionary size exceeds frame");
+  ExpectTableRejected(OneColumnTable(DataType::kInt64, ~0ull, padding),
+                      "row count exceeds frame");
+  // 300 entries need 2-byte codes: 1000 rows x 2 bytes, but only 1000
+  // bytes follow.
+  std::vector<int64_t> values;
+  for (int64_t v = 0; v < 300; ++v) values.push_back(v);
+  std::string short_codes =
+      WireColumn(300, Int64Values(values), 2, {}) + padding;
+  ExpectTableRejected(OneColumnTable(DataType::kInt64, 1000, short_codes),
+                      "column codes exceed frame");
 }
 
 TEST(ProtocolTest, WireStatusMapsStatusCodes) {

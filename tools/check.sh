@@ -2,7 +2,8 @@
 # One-shot correctness gate: format check, clang-tidy build,
 # depmatch_analyze (lock discipline + layering + determinism +
 # architecture staleness), UBSan test suite, ASan+TSan smoke runs of the
-# benches' --smoke correctness gates plus the tsan_stress test suite, and
+# benches' --smoke correctness gates plus the tsan_stress test suite (and,
+# under ASan, the `fuzz`-labelled wire-decoder mutation harness), and
 # the bench regression gate (fresh headlines vs every committed
 # BENCH_*.json).
 #
@@ -97,19 +98,23 @@ else
   fi
 
   # ---- 5. ASan+UBSan smoke ------------------------------------------------
+  # The bench smokes, the stress suite and the `fuzz` label (the seeded
+  # mutation harness over every wire frame type).
   note "ASan+UBSan smoke (preset: asan)"
   if cmake --preset asan >/dev/null \
       && cmake --build --preset asan -j "$JOBS" \
           --target bench_match_search bench_graph_build bench_pipeline \
           bench_catalog bench_catalog_scale bench_service \
-          bench_incremental tsan_stress_test \
+          bench_incremental tsan_stress_test protocol_fuzz_test \
       && ASAN_OPTIONS=detect_leaks=1 ./build-asan/bench/bench_match_search --smoke \
       && ASAN_OPTIONS=detect_leaks=1 ./build-asan/bench/bench_pipeline --smoke \
       && ASAN_OPTIONS=detect_leaks=1 ./build-asan/bench/bench_catalog --smoke \
       && ASAN_OPTIONS=detect_leaks=1 ./build-asan/bench/bench_catalog_scale --smoke \
       && ASAN_OPTIONS=detect_leaks=1 ./build-asan/bench/bench_service --smoke \
       && ASAN_OPTIONS=detect_leaks=1 ./build-asan/bench/bench_incremental --smoke \
-      && ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/tsan_stress_test; then
+      && ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/tsan_stress_test \
+      && ASAN_OPTIONS=detect_leaks=1 ctest --test-dir build-asan -L fuzz \
+          --output-on-failure; then
     echo "asan smoke clean"
   else
     fail "ASan+UBSan smoke failed"
